@@ -15,7 +15,6 @@
 #include "discovery/scoring.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "services/compression.hpp"
 #include "services/fragmentation.hpp"
 #include "sim/kernel.hpp"
 
@@ -132,36 +131,6 @@ void BM_AesCbcEncrypt(benchmark::State& state) {
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_AesCbcEncrypt)->Arg(256)->Arg(4096);
-
-void BM_LzssCompress(benchmark::State& state) {
-    // Compressible text-like data (the common pub/sub payload case).
-    Bytes data;
-    for (int i = 0; data.size() < static_cast<std::size_t>(state.range(0)); ++i) {
-        const std::string row = "key=" + std::to_string(i % 97) + ",value=42;";
-        data.insert(data.end(), row.begin(), row.end());
-    }
-    data.resize(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(services::compress(data));
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_LzssCompress)->Arg(1024)->Arg(65536);
-
-void BM_LzssDecompress(benchmark::State& state) {
-    Bytes data;
-    for (int i = 0; data.size() < static_cast<std::size_t>(state.range(0)); ++i) {
-        const std::string row = "key=" + std::to_string(i % 97) + ",value=42;";
-        data.insert(data.end(), row.begin(), row.end());
-    }
-    data.resize(static_cast<std::size_t>(state.range(0)));
-    const Bytes compressed = services::compress(data);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(services::decompress(compressed));
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_LzssDecompress)->Arg(65536);
 
 void BM_FragmentAndCoalesce(benchmark::State& state) {
     Rng rng(9);

@@ -33,15 +33,15 @@
 // epoll/mmsg/GSO rework reduces.
 //
 // The sharded section sweeps the same credit-paced spray over a
-// ShardRuntime at several reactor counts (--shards, default {1,2,4,8}
-// capped at twice the hardware concurrency): one pacer per shard runs as a
-// zero-delay timer on that shard's own loop thread, spraying from several
-// per-shard source endpoints round-robin so SO_REUSEPORT's 4-tuple hash
-// spreads the deliveries across the whole reactor group, into a single
-// bind_spread counting sink (thread-safe, delivered in place — no handoff
-// on this path, so the sweep measures raw kernel-spread scaling). Every
-// sample also records process CPU utilization over its measurement window
-// (getrusage), so the results show cores burned next to datagrams/sec.
+// ShardRuntime at several reactor counts (--shards, default {1,2,4,8}):
+// each shard homes its own source and its own counting sink through
+// port(i), and one pacer per shard runs as a zero-delay timer on that
+// shard's loop thread, spraying that shard's sink. Shards share nothing,
+// so the sweep measures how the datapath scales with reactors. A point
+// with more shards than hardware cores measures the scheduler instead; it
+// is recorded as skipped, not run. Every sample also records process CPU
+// utilization over its measurement window (getrusage), so the results show
+// cores burned next to datagrams/sec.
 //
 // Results go to stdout (NARADA_JSON lines + a table) and to
 // BENCH_transport.json in the working directory — the repo's perf
@@ -416,60 +416,27 @@ PathSample batched_rate(std::size_t payload_size, int spray_ms,
     return sample;  // transport dtor joins the loop before locals go away
 }
 
-// --- Sharded datapath (ShardRuntime: SO_REUSEPORT reactor group) ---------
-
-/// Flows per shard-local sender: the kernel's reuseport hash is per
-/// 4-tuple, so a handful of distinct source ports per sender keeps the
-/// receive load statistically balanced across the reactor group.
-constexpr std::size_t kFlowsPerSender = 4;
-
-/// bind_spread sink: deliveries arrive concurrently on every reactor
-/// thread, so the counters are atomic — one padded slot per sender (the
-/// sender index rides in payload byte 0) so each pacer can track its own
-/// deliveries for credit pacing.
-class SpreadSink final : public transport::MessageHandler {
-public:
-    explicit SpreadSink(std::size_t senders) : slots_(senders) {}
-    void on_datagram(const Endpoint&, const Bytes& data) override {
-        if (!data.empty() && data[0] < slots_.size()) {
-            slots_[data[0]].count.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    [[nodiscard]] std::uint64_t from_sender(std::size_t i) const {
-        return slots_[i].count.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t total() const {
-        std::uint64_t sum = 0;
-        for (const Slot& s : slots_) sum += s.count.load(std::memory_order_relaxed);
-        return sum;
-    }
-
-private:
-    struct alignas(64) Slot {
-        std::atomic<std::uint64_t> count{0};
-    };
-    std::vector<Slot> slots_;
-};
+// --- Sharded datapath (ShardRuntime: one homed sink per shard) ------------
 
 /// Aggregate delivered datagrams/sec over a ShardRuntime with `nshards`
-/// reactors: one credit-paced sender per shard (a self-rescheduling
-/// zero-delay timer homed on that shard, so its acquire/send cycle stays
-/// inside the shard's own pool and sendmmsg ring), all spraying into one
-/// spread-bound sink that the kernel fans across the reactor group.
+/// reactors: on each shard a credit-paced sender (a self-rescheduling
+/// zero-delay timer homed there, so its acquire/send cycle stays inside
+/// the shard's own pool and sendmmsg ring) sprays a sink homed on the same
+/// shard.
 PathSample sharded_rate(std::size_t nshards, std::size_t payload_size, int spray_ms) {
-    struct Sender {
-        Pacer pacer;  // touched only on its shard's loop thread
-        std::size_t next_flow = 0;
-        std::vector<Endpoint> sources;
+    struct alignas(64) Shard {
+        CountingSink sink;  // counted on this shard's thread, read by the window
+        Pacer pacer;        // touched only on this shard's loop thread
+        Endpoint source;
+        Endpoint rx;
     };
 
     // Everything the shard threads touch outlives the runtime: declared
     // first so the runtime (and with it every reactor thread and pending
     // timer) is destroyed before the state the pacers capture.
     CountingSink noop;
-    SpreadSink sink(nshards);
+    std::vector<Shard> shards(nshards);
     std::atomic<bool> stop{false};
-    std::vector<Sender> senders(nshards);
     std::vector<std::function<void()>> ticks(nshards);
 
     PathSample sample;
@@ -479,48 +446,55 @@ PathSample sharded_rate(std::size_t nshards, std::size_t payload_size, int spray
         options.transport.pool_buffers = kWindow * 3;  // window + loop scratch per shard
         transport::ShardRuntime rt(options);
 
-        std::uint16_t probe = transport::PosixTransport::find_free_port(47000);
-        const Endpoint rx{1, probe};
-        rt.bind_spread(rx, &sink);
-        ++probe;
+        std::uint16_t probe = 47000;
+        const auto next_port = [&probe] {
+            probe = transport::PosixTransport::find_free_port(probe);
+            return probe++;
+        };
         for (std::size_t i = 0; i < nshards; ++i) {
-            for (std::size_t f = 0; f < kFlowsPerSender; ++f) {
-                probe = transport::PosixTransport::find_free_port(probe);
-                const Endpoint src{static_cast<HostId>(2 + i), probe};
-                rt.port(i).bind(src, &noop);
-                senders[i].sources.push_back(src);
-                ++probe;
-            }
+            shards[i].rx = Endpoint{static_cast<HostId>(1 + 2 * i), next_port()};
+            shards[i].source = Endpoint{static_cast<HostId>(2 + 2 * i), next_port()};
+            rt.port(i).bind(shards[i].rx, &shards[i].sink);
+            rt.port(i).bind(shards[i].source, &noop);
         }
 
         for (std::size_t i = 0; i < nshards; ++i) {
-            ticks[i] = [&, i, rx] {
+            ticks[i] = [&, i] {
                 if (stop.load(std::memory_order_relaxed)) return;
-                Sender& s = senders[i];
-                s.pacer.tick(sink.from_sender(i), [&](std::uint64_t seq) {
-                    Bytes buf = rt.acquire_buffer();  // shard i's pool: we run on shard i
+                Shard& sh = shards[i];
+                transport::ShardPort& port = rt.port(i);
+                sh.pacer.tick(sh.sink.received(), [&](std::uint64_t seq) {
+                    Bytes buf = port.acquire_buffer();
                     buf.resize(std::max<std::size_t>(payload_size, 1),
                                static_cast<std::uint8_t>(seq));
-                    buf[0] = static_cast<std::uint8_t>(i);  // sender tag for pacing
-                    rt.send_datagram(s.sources[s.next_flow], rx, std::move(buf));
-                    s.next_flow = (s.next_flow + 1) % s.sources.size();
+                    port.send_datagram(sh.source, sh.rx, std::move(buf));
                 });
-                rt.port(i).schedule(0, ticks[i]);
+                port.schedule(0, ticks[i]);
             };
             rt.port(i).schedule(0, ticks[i]);
         }
 
-        sample = measure_window(spray_ms, [&] { return sink.total(); });
+        sample = measure_window(spray_ms, [&] {
+            std::uint64_t total = 0;
+            for (const Shard& sh : shards) total += sh.sink.received();
+            return total;
+        });
         stop.store(true, std::memory_order_relaxed);
     }  // runtime dtor joins every reactor thread before the pacers go away
-    for (const Sender& s : senders) sample.sent += s.pacer.sent;
+    for (const Shard& sh : shards) sample.sent += sh.pacer.sent;
     return sample;
 }
 
-/// `--shards 1,2,4[,8]` — explicit sweep points. Default: {1,2,4,8} capped
-/// at twice the hardware concurrency (oversubscribing further measures the
-/// scheduler, not the datapath); 1 is always kept as the baseline.
-std::vector<std::size_t> parse_shards(int argc, char** argv, std::size_t hw_cores) {
+/// The sweep's shard counts, split into the points this host can run and
+/// those it cannot (more shards than hardware cores).
+struct ShardPoints {
+    std::vector<std::size_t> run;
+    std::vector<std::size_t> skipped;
+};
+
+/// `--shards 1,2,4[,8]` — explicit sweep points. Default: {1,2,4,8}. 1 is
+/// always run as the baseline; a point above `hw_cores` is skipped.
+ShardPoints parse_shards(int argc, char** argv, std::size_t hw_cores) {
     std::string spec;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
@@ -530,13 +504,7 @@ std::vector<std::size_t> parse_shards(int argc, char** argv, std::size_t hw_core
         }
     }
     std::vector<std::size_t> shards;
-    if (spec.empty()) {
-        for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-            if (n == 1 || n <= 2 * hw_cores) shards.push_back(n);
-        }
-        return shards;
-    }
+    if (spec.empty()) shards = {1, 2, 4, 8};
     std::size_t value = 0;
     bool in_number = false;
     for (const char c : spec + ",") {
@@ -550,7 +518,11 @@ std::vector<std::size_t> parse_shards(int argc, char** argv, std::size_t hw_core
         }
     }
     if (shards.empty()) shards.push_back(1);
-    return shards;
+    ShardPoints points;
+    for (const std::size_t n : shards) {
+        (n == 1 || n <= hw_cores ? points.run : points.skipped).push_back(n);
+    }
+    return points;
 }
 
 struct PayloadResult {
@@ -577,7 +549,7 @@ struct ShardResult {
 int main(int argc, char** argv) {
     const int kRuns = bench::parse_runs(argc, argv, 5);
     const std::size_t hw_cores = std::max(1u, std::thread::hardware_concurrency());
-    const std::vector<std::size_t> shard_counts = parse_shards(argc, argv, hw_cores);
+    const ShardPoints shard_points = parse_shards(argc, argv, hw_cores);
     obs::MetricsRegistry registry;
 
     std::vector<PayloadResult> results;
@@ -630,7 +602,7 @@ int main(int argc, char** argv) {
     // each configured shard count, scaling reported against the 1-shard
     // baseline of the same sweep.
     std::vector<ShardResult> sweep;
-    for (const std::size_t n : shard_counts) {
+    for (const std::size_t n : shard_points.run) {
         SampleSet dps_samples;
         ShardResult sr;
         sr.shards = n;
@@ -653,7 +625,7 @@ int main(int argc, char** argv) {
         sr.scaling = base_dps > 0 ? sr.dps / base_dps : 0;
     }
 
-    bench::print_heading("Sharded datapath: SO_REUSEPORT reactor-group sweep (64 B)");
+    bench::print_heading("Sharded datapath: one homed sink per shard (64 B)");
     std::printf("(%zu hardware cores)\n", hw_cores);
     std::printf("%-7s %12s %12s %10s %8s\n", "shards", "best kdps", "mean kdps",
                 "cpu cores", "scaling");
@@ -667,6 +639,9 @@ int main(int argc, char** argv) {
                                   {"cpu_cores", sr.cpu_cores},
                                   {"scaling", sr.scaling},
                                   {"hw_cores", static_cast<double>(hw_cores)}});
+    }
+    for (const std::size_t n : shard_points.skipped) {
+        std::printf("%7zu %12s   (skipped: more shards than hardware cores)\n", n, "-");
     }
 
     // BENCH_transport.json: the machine-readable perf-trajectory record.
@@ -701,6 +676,10 @@ int main(int argc, char** argv) {
                 .field("cpu_cores", sr.cpu_cores, 3)
                 .field("scaling", sr.scaling, 3)
                 .end_object();
+        }
+        w.end_array().key("shard_sweep_skipped").begin_array();
+        for (const std::size_t n : shard_points.skipped) {
+            w.value(static_cast<std::uint64_t>(n));
         }
         w.end_array().end_object();
         if (std::FILE* f = std::fopen("BENCH_transport.json", "w")) {

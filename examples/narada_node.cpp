@@ -21,12 +21,10 @@
 // observability plane: every node prints a NARADA_METRICS snapshot on
 // shutdown, and a traced client prints its span timeline.
 //
-// A [transport] section (shards, pin_cpus, handoff_depth, udp_batch,
-// pool_buffers, udp_sockbuf, udp_gso) selects the thread-per-core sharded
-// datapath: shards = N runs N SO_REUSEPORT epoll reactors and the kernel
-// spreads inbound flows across them. The protocol object stays homed on
-// shard 0 (single-threaded as always); off-home arrivals hop once over a
-// lock-free ring. shards = 1 (the default) is the classic single loop.
+// A [transport] section (pin_cpus, udp_batch, pool_buffers, udp_sockbuf,
+// udp_gso) tunes the datapath. A node runs one protocol object, so it runs
+// one epoll reactor: a ShardRuntime with a single shard, whose thread
+// serializes every callback and timer (pin_cpus = N pins it to CPU N).
 //
 // A [security] section turns on the secured discovery datapath:
 //   [security]
@@ -307,9 +305,7 @@ int main(int argc, char** argv) {
         ObsPlane obs(obs_cfg);
         const config::TransportConfig tcfg = config::TransportConfig::from_ini(ini);
         transport::ShardRuntimeOptions topt;
-        topt.shards = tcfg.shards;
         topt.pin_cpus = tcfg.pin_cpus;
-        topt.handoff_depth = tcfg.handoff_depth;
         topt.transport.udp_batch = tcfg.udp_batch;
         topt.transport.pool_buffers = tcfg.pool_buffers;
         topt.transport.udp_sockbuf = tcfg.udp_sockbuf;
@@ -318,10 +314,6 @@ int main(int argc, char** argv) {
         // Before any bind: the reactor threads read the instrument
         // pointers unsynchronized once sockets are live.
         transport.set_observability(obs.registry(), name);
-        if (transport.shards() > 1) {
-            std::printf("[%s] sharded datapath: %zu reactors\n", name.c_str(),
-                        transport.shards());
-        }
         const Endpoint endpoint{0, port};  // host label 0: cross-process convention
         SecurityPlane sec(ini, name);
         if (role == "broker") {

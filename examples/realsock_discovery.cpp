@@ -3,8 +3,10 @@
 // ShardRuntime. Demonstrates that nothing in the brokers, BDN or client
 // depends on the simulator, and that the node population of one process
 // spreads across reactor shards: each protocol object is homed on
-// port(i % shards) and runs single-threaded on that shard's reactor while
-// the group as a whole uses every core.
+// port(i % shards), its sockets bound on that shard alone, and runs
+// single-threaded on that shard's reactor while the group as a whole uses
+// every core. Nodes are started from main(): their ports route those
+// first sends to the home shard's sockets.
 //
 //   $ ./examples/realsock_discovery
 #include <chrono>
@@ -23,15 +25,16 @@
 using namespace narada;
 
 int main() {
-    // Two reactor shards: enough to exercise SO_REUSEPORT spreading and the
-    // cross-shard handoff rings without oversubscribing small machines.
+    // Two reactor shards: enough to put neighbouring nodes on different
+    // reactors without oversubscribing small machines.
     transport::ShardRuntimeOptions topt;
     topt.shards = 2;
     transport::ShardRuntime rt(topt);
     WallClock wall;
     timesvc::FixedUtcSource utc(wall);
     // Round-robin home shards: a protocol object bound through port(i) has
-    // every callback and timer serialized on shard i's thread.
+    // its sockets on shard i and every callback and timer serialized on
+    // shard i's thread.
     std::size_t next_home = 0;
     auto home_port = [&]() -> transport::ShardPort& {
         transport::ShardPort& p = rt.port(next_home);

@@ -172,8 +172,6 @@ ObsConfig ObsConfig::from_ini(const Ini& ini) {
 
 TransportConfig TransportConfig::from_ini(const Ini& ini) {
     TransportConfig c;
-    c.shards = static_cast<std::uint32_t>(ini.get_int("transport", "shards", c.shards));
-    if (c.shards == 0) c.shards = 1;
     for (const auto& item : ini.get_list("transport", "pin_cpus")) {
         try {
             c.pin_cpus.push_back(std::stoi(item));
@@ -181,8 +179,6 @@ TransportConfig TransportConfig::from_ini(const Ini& ini) {
             throw IniError("bad pin_cpus entry: " + item);
         }
     }
-    c.handoff_depth = static_cast<std::uint32_t>(
-        ini.get_int("transport", "handoff_depth", c.handoff_depth));
     c.udp_batch =
         static_cast<std::uint32_t>(ini.get_int("transport", "udp_batch", c.udp_batch));
     c.pool_buffers = static_cast<std::uint32_t>(

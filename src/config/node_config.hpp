@@ -203,20 +203,13 @@ struct ObsConfig {
     static ObsConfig from_ini(const Ini& ini);
 };
 
-/// Real-socket datapath ([transport] section): the thread-per-core sharded
-/// runtime and the per-shard datapath knobs it passes through. Sim runs
-/// ignore this section entirely (virtual time is single-threaded by
-/// contract).
+/// Real-socket datapath ([transport] section): the reactor's datapath
+/// knobs. Sim runs ignore this section entirely (virtual time is
+/// single-threaded by contract).
 struct TransportConfig {
-    /// Reactor shard count. 1 = the classic single-loop PosixTransport
-    /// datapath; N > 1 binds every port N times with SO_REUSEPORT and lets
-    /// the kernel spread flows across N epoll threads.
-    std::uint32_t shards = 1;
-    /// Optional CPU pins, one per shard ("pin_cpus = 0,1,2,3"); -1 entries
-    /// (and shards past the list) stay unpinned.
+    /// Optional CPU pins, one per reactor shard ("pin_cpus = 0"); -1
+    /// entries (and shards past the list) stay unpinned.
     std::vector<int> pin_cpus;
-    /// Capacity of each cross-shard handoff ring.
-    std::uint32_t handoff_depth = 1024;
     /// recvmmsg/sendmmsg batch size per shard.
     std::uint32_t udp_batch = 32;
     /// Buffer-pool free-list capacity per shard.

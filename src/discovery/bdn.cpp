@@ -1049,20 +1049,23 @@ void Bdn::handle_shard_reply(const Endpoint& from, const ShardReply& reply) {
 void Bdn::inject_shared(std::shared_ptr<const Bytes> framed,
                         const std::vector<Endpoint>& targets) {
     if (inst_.fanout) inst_.fanout->observe(static_cast<double>(targets.size()));
+    // Injections are issued sequentially: each send costs the BDN its
+    // per-injection processing time, so fanning out to N brokers takes
+    // O(N * spacing) — the effect Figure 2 measures. A send captures what
+    // it sends with rather than the BDN, so destroying the BDN mid-fan-out
+    // leaves no timer pointing at freed memory.
     DurationUs at = 0;
     for (const Endpoint& target : targets) {
         ++stats_.injections;
         if (inst_.injections) inst_.injections->inc();
-        scheduler_.schedule(at, [this, target, framed] {
-            transport_.send_reliable(local_, target, *framed);
+        scheduler_.schedule(at, [&transport = transport_, local = local_, target, framed] {
+            transport.send_reliable(local, target, *framed);
         });
         at += config_.injection_spacing;
     }
 }
 
 void Bdn::inject(const DiscoveryRequest& request, const std::vector<Endpoint>& targets) {
-    if (inst_.fanout) inst_.fanout->observe(static_cast<double>(targets.size()));
-
     // A sampled request gets a `bdn.inject` span covering the whole spaced
     // fan-out; the forwarded copies carry it as their trace parent so
     // broker-side spans nest under the injection.
@@ -1085,28 +1088,17 @@ void Bdn::inject(const DiscoveryRequest& request, const std::vector<Endpoint>& t
     outgoing->encode(writer);
     // One shared encode for the whole fan-out; each spaced send copies it
     // into a fresh (pooled) payload at send time.
-    const auto encoded = std::make_shared<const Bytes>(writer.take());
-    // Injections are issued sequentially: each send costs the BDN its
-    // per-injection processing time, so fanning out to N brokers takes
-    // O(N * spacing) — the effect Figure 2 measures.
-    DurationUs at = 0;
-    for (const Endpoint& target : targets) {
-        ++stats_.injections;
-        if (inst_.injections) inst_.injections->inc();
-        scheduler_.schedule(at, [this, target, encoded] {
-            transport_.send_reliable(local_, target, *encoded);
-        });
-        at += config_.injection_spacing;
-    }
+    inject_shared(std::make_shared<const Bytes>(writer.take()), targets);
     if (inject_span != 0) {
-        const DurationUs last_send = at > 0 ? at - config_.injection_spacing : 0;
-        scheduler_.schedule(last_send,
-                            [this, inject_span] { spans_->end(inject_span, span_now()); });
+        const DurationUs last_send = std::max<DurationUs>(
+            0, static_cast<DurationUs>(targets.size() - 1) * config_.injection_spacing);
+        scheduler_.schedule(last_send, [spans = spans_, utc = utc_, inject_span] {
+            spans->end(inject_span, utc->utc_now());
+        });
     }
 }
 
 void Bdn::inject_raw(std::span<const std::uint8_t> raw, const std::vector<Endpoint>& targets) {
-    if (inst_.fanout) inst_.fanout->observe(static_cast<double>(targets.size()));
     // Unsampled fast path: nothing in the request was rewritten, so the
     // borrowed message region is re-framed verbatim (type octet + bytes)
     // into one pooled buffer shared by every spaced send — the decode ->
@@ -1115,16 +1107,7 @@ void Bdn::inject_raw(std::span<const std::uint8_t> raw, const std::vector<Endpoi
     writer.reserve(1 + raw.size());
     writer.u8(wire::kMsgDiscoveryRequest);
     writer.raw(raw.data(), raw.size());
-    const auto encoded = std::make_shared<const Bytes>(writer.take());
-    DurationUs at = 0;
-    for (const Endpoint& target : targets) {
-        ++stats_.injections;
-        if (inst_.injections) inst_.injections->inc();
-        scheduler_.schedule(at, [this, target, encoded] {
-            transport_.send_reliable(local_, target, *encoded);
-        });
-        at += config_.injection_spacing;
-    }
+    inject_shared(std::make_shared<const Bytes>(writer.take()), targets);
 }
 
 void Bdn::set_peer_group(std::vector<Endpoint> members) {

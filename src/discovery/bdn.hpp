@@ -290,8 +290,8 @@ private:
     /// deadline fires (partial-result degradation).
     void start_gather(const Uuid& request_id, std::shared_ptr<const Bytes> framed);
     void finalize_gather(const Uuid& request_id, bool partial);
-    /// Spaced sends of an already-framed request to `targets` (gather path;
-    /// mirrors inject_raw but shares ownership with the pending timer).
+    /// Spaced sends of an already-framed request to `targets`; each pending
+    /// send shares ownership of `framed`.
     void inject_shared(std::shared_ptr<const Bytes> framed, const std::vector<Endpoint>& targets);
     /// Type octet + encoded request in one pooled buffer, shared across the
     /// gather's lifetime.

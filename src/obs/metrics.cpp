@@ -36,35 +36,6 @@ Histogram::Snapshot Histogram::snapshot() const {
     return snap;
 }
 
-ShardedCounter::ShardedCounter(std::size_t shards) : n_(shards == 0 ? 1 : shards) {
-    slots_ = std::make_unique<Slot[]>(n_);
-}
-
-std::uint64_t ShardedCounter::value() const noexcept {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n_; ++i) total += slots_[i].c.value();
-    return total;
-}
-
-ShardedHistogram::ShardedHistogram(std::size_t shards, std::vector<double> upper_bounds) {
-    if (shards == 0) shards = 1;
-    slots_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-        slots_.push_back(std::make_unique<Histogram>(upper_bounds));
-    }
-}
-
-Histogram::Snapshot ShardedHistogram::snapshot() const {
-    Histogram::Snapshot merged = slots_[0]->snapshot();
-    for (std::size_t s = 1; s < slots_.size(); ++s) {
-        const auto snap = slots_[s]->snapshot();
-        for (std::size_t i = 0; i < merged.counts.size(); ++i) merged.counts[i] += snap.counts[i];
-        merged.count += snap.count;
-        merged.sum += snap.sum;
-    }
-    return merged;
-}
-
 std::vector<double> latency_buckets_ms() {
     return {0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000};
 }
@@ -93,31 +64,11 @@ Histogram& MetricsRegistry::histogram(const std::string& name, const std::string
     return *slot;
 }
 
-ShardedCounter& MetricsRegistry::sharded_counter(const std::string& name,
-                                                 const std::string& node, std::size_t shards) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = sharded_counters_[{name, node}];
-    if (!slot) slot = std::make_unique<ShardedCounter>(shards);
-    return *slot;
-}
-
-ShardedHistogram& MetricsRegistry::sharded_histogram(const std::string& name,
-                                                     const std::string& node, std::size_t shards,
-                                                     std::vector<double> bounds) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = sharded_histograms_[{name, node}];
-    if (!slot) slot = std::make_unique<ShardedHistogram>(shards, std::move(bounds));
-    return *slot;
-}
-
 std::uint64_t MetricsRegistry::counter_value(const std::string& name,
                                              const std::string& node) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = counters_.find({name, node}); it != counters_.end()) {
-        return it->second->value();
-    }
-    const auto sit = sharded_counters_.find({name, node});
-    return sit == sharded_counters_.end() ? 0 : sit->second->value();
+    const auto it = counters_.find({name, node});
+    return it == counters_.end() ? 0 : it->second->value();
 }
 
 namespace {
@@ -146,19 +97,14 @@ std::string MetricsRegistry::to_prometheus() const {
         append_labels(out, key.second);
         out += " " + std::to_string(counter->value()) + "\n";
     }
-    for (const auto& [key, counter] : sharded_counters_) {
-        out += "# TYPE narada_" + key.first + " counter\n";
-        out += "narada_" + key.first;
-        append_labels(out, key.second);
-        out += " " + std::to_string(counter->value()) + "\n";
-    }
     for (const auto& [key, gauge] : gauges_) {
         out += "# TYPE narada_" + key.first + " gauge\n";
         out += "narada_" + key.first;
         append_labels(out, key.second);
         out += " " + format_double(gauge->value()) + "\n";
     }
-    const auto emit_histogram = [&out](const Key& key, const Histogram::Snapshot& snap) {
+    for (const auto& [key, hist] : histograms_) {
+        const auto snap = hist->snapshot();
         out += "# TYPE narada_" + key.first + " histogram\n";
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < snap.bounds.size(); ++i) {
@@ -177,9 +123,7 @@ std::string MetricsRegistry::to_prometheus() const {
         out += "narada_" + key.first + "_count";
         append_labels(out, key.second);
         out += " " + std::to_string(snap.count) + "\n";
-    };
-    for (const auto& [key, hist] : histograms_) emit_histogram(key, hist->snapshot());
-    for (const auto& [key, hist] : sharded_histograms_) emit_histogram(key, hist->snapshot());
+    }
     return out;
 }
 
@@ -189,13 +133,6 @@ std::string MetricsRegistry::to_json() const {
     w.begin_object();
     w.key("counters").begin_array();
     for (const auto& [key, counter] : counters_) {
-        w.begin_object()
-            .field("name", key.first)
-            .field("node", key.second)
-            .field("value", counter->value())
-            .end_object();
-    }
-    for (const auto& [key, counter] : sharded_counters_) {
         w.begin_object()
             .field("name", key.first)
             .field("node", key.second)
@@ -213,7 +150,8 @@ std::string MetricsRegistry::to_json() const {
     }
     w.end_array();
     w.key("histograms").begin_array();
-    const auto emit_histogram = [&w](const Key& key, const Histogram::Snapshot& snap) {
+    for (const auto& [key, hist] : histograms_) {
+        const auto snap = hist->snapshot();
         w.begin_object()
             .field("name", key.first)
             .field("node", key.second)
@@ -226,9 +164,7 @@ std::string MetricsRegistry::to_json() const {
         w.begin_array().value_null().value(snap.counts[snap.bounds.size()]).end_array();
         w.end_array();
         w.end_object();
-    };
-    for (const auto& [key, hist] : histograms_) emit_histogram(key, hist->snapshot());
-    for (const auto& [key, hist] : sharded_histograms_) emit_histogram(key, hist->snapshot());
+    }
     w.end_array();
     w.end_object();
     return w.take();

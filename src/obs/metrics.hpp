@@ -90,43 +90,6 @@ private:
     std::atomic<double> sum_{0.0};
 };
 
-/// Per-shard counter: one cache-line-padded Counter slot per shard, so N
-/// reactor threads incrementing "the same" metric never touch a shared
-/// cache line. Aggregated (summed) only at scrape time. shard(i) hands out
-/// a plain Counter&, so hot-path code wires a shard slot exactly like any
-/// other counter.
-class ShardedCounter {
-public:
-    explicit ShardedCounter(std::size_t shards);
-
-    [[nodiscard]] Counter& shard(std::size_t i) noexcept { return slots_[i].c; }
-    [[nodiscard]] std::size_t shards() const noexcept { return n_; }
-    /// Sum across shards (scrape-time only).
-    [[nodiscard]] std::uint64_t value() const noexcept;
-
-private:
-    struct alignas(64) Slot {
-        Counter c;
-    };
-    std::unique_ptr<Slot[]> slots_;
-    std::size_t n_;
-};
-
-/// Per-shard histogram: one full Histogram per shard (identical bounds),
-/// merged at scrape time. shard(i) is a plain Histogram&.
-class ShardedHistogram {
-public:
-    ShardedHistogram(std::size_t shards, std::vector<double> upper_bounds);
-
-    [[nodiscard]] Histogram& shard(std::size_t i) noexcept { return *slots_[i]; }
-    [[nodiscard]] std::size_t shards() const noexcept { return slots_.size(); }
-    /// Merged snapshot (per-bucket counts and sums added across shards).
-    [[nodiscard]] Histogram::Snapshot snapshot() const;
-
-private:
-    std::vector<std::unique_ptr<Histogram>> slots_;
-};
-
 /// Default bucket ladder for latency histograms, in milliseconds: covers
 /// sub-millisecond LAN hops up through the paper's 4.5 s response window.
 std::vector<double> latency_buckets_ms();
@@ -143,13 +106,6 @@ public:
     /// `bounds` is only consulted on first creation of (name, node).
     Histogram& histogram(const std::string& name, const std::string& node,
                          std::vector<double> bounds);
-    /// Sharded variants: `shards`/`bounds` are only consulted on first
-    /// creation of (name, node). Exporters fold the aggregate into the same
-    /// counter/histogram sections as the plain instruments.
-    ShardedCounter& sharded_counter(const std::string& name, const std::string& node,
-                                    std::size_t shards);
-    ShardedHistogram& sharded_histogram(const std::string& name, const std::string& node,
-                                        std::size_t shards, std::vector<double> bounds);
 
     /// Prometheus text exposition (names prefixed `narada_`, node label).
     [[nodiscard]] std::string to_prometheus() const;
@@ -167,8 +123,6 @@ private:
     std::map<Key, std::unique_ptr<Counter>> counters_;
     std::map<Key, std::unique_ptr<Gauge>> gauges_;
     std::map<Key, std::unique_ptr<Histogram>> histograms_;
-    std::map<Key, std::unique_ptr<ShardedCounter>> sharded_counters_;
-    std::map<Key, std::unique_ptr<ShardedHistogram>> sharded_histograms_;
 };
 
 }  // namespace narada::obs

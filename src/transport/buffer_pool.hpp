@@ -127,9 +127,8 @@ private:
     std::size_t max_buffers_;
     std::size_t buffer_capacity_;
     /// Buffers currently out of the pool. Releases of buffers acquired
-    /// elsewhere (cross-shard handoffs return payloads to the producing
-    /// pool, external callers may hand in their own vectors) clamp at zero
-    /// rather than underflow.
+    /// elsewhere (callers may send their own vectors, or a buffer from
+    /// another shard's pool) clamp at zero rather than underflow.
     std::size_t outstanding_ = 0;
     std::size_t peak_outstanding_ = 0;
     obs::Counter* hits_ = nullptr;

@@ -208,17 +208,16 @@ void PosixTransport::epoll_del(int fd) {
 
 Bytes PosixTransport::acquire_buffer() { return pool_.acquire(); }
 
-void PosixTransport::add_external(int fd, std::function<void()> on_ready) {
-    {
-        std::scoped_lock lock(mutex_);
-        external_[fd] = std::make_unique<std::function<void()>>(std::move(on_ready));
-        fd_table_[fd] = FdEntry{FdKind::kExternal, {}};
-    }
-    epoll_register(fd);
-}
-
 void PosixTransport::bind(const Endpoint& local, MessageHandler* handler) {
     if (handler == nullptr) throw std::invalid_argument("bind: null handler");
+    {
+        // Rebinding replaces the handler and keeps the sockets.
+        std::scoped_lock lock(mutex_);
+        if (const auto it = bindings_.find(local); it != bindings_.end()) {
+            it->second.handler = handler;
+            return;
+        }
+    }
     Binding binding;
     binding.handler = handler;
     binding.endpoint = local;
@@ -226,13 +225,6 @@ void PosixTransport::bind(const Endpoint& local, MessageHandler* handler) {
     const sockaddr_in addr = loopback_addr(local.port);
 
     binding.udp_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (binding.udp_fd >= 0 && options_.reuseport) {
-        // Must precede bind: SO_REUSEPORT lets the shards of a ShardRuntime
-        // bind the same port, and the kernel hashes each flow's 4-tuple to
-        // pick which shard's socket receives it.
-        const int one = 1;
-        setsockopt(binding.udp_fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-    }
     if (binding.udp_fd < 0 ||
         ::bind(binding.udp_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
         const int saved = errno;
@@ -256,9 +248,6 @@ void PosixTransport::bind(const Endpoint& local, MessageHandler* handler) {
     binding.listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
     const int reuse = 1;
     setsockopt(binding.listen_fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-    if (options_.reuseport) {
-        setsockopt(binding.listen_fd, SOL_SOCKET, SO_REUSEPORT, &reuse, sizeof(reuse));
-    }
     if (binding.listen_fd < 0 ||
         ::bind(binding.listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
         ::listen(binding.listen_fd, 64) != 0) {
@@ -274,13 +263,6 @@ void PosixTransport::bind(const Endpoint& local, MessageHandler* handler) {
     const int listen_fd = binding.listen_fd;
     {
         std::scoped_lock lock(mutex_);
-        // Rebinding replaces the handler but keeps sockets if same port.
-        if (const auto it = bindings_.find(local); it != bindings_.end()) {
-            ::close(binding.udp_fd);
-            ::close(binding.listen_fd);
-            it->second.handler = handler;
-            return;
-        }
         port_to_endpoint_[local.port] = local;
         port_map_gen_.fetch_add(1, std::memory_order_relaxed);
         fd_table_[udp_fd] = FdEntry{FdKind::kUdp, local};
@@ -298,6 +280,9 @@ void PosixTransport::unbind(const Endpoint& local) {
     std::vector<int> to_close;
     {
         std::scoped_lock lock(mutex_);
+        // Membership can outlive a binding's absence here: a ShardRuntime
+        // registers it on every shard but binds on one.
+        for (auto& [group, members] : groups_) std::erase(members, local);
         const auto it = bindings_.find(local);
         if (it == bindings_.end()) return;
         to_close.push_back(it->second.udp_fd);
@@ -307,7 +292,6 @@ void PosixTransport::unbind(const Endpoint& local) {
         bindings_.erase(it);
         port_to_endpoint_.erase(local.port);
         port_map_gen_.fetch_add(1, std::memory_order_relaxed);
-        for (auto& [group, members] : groups_) std::erase(members, local);
         // Drop outgoing connections originating here.
         for (auto oit = outgoing_.begin(); oit != outgoing_.end();) {
             if (oit->first.first == local) {
@@ -887,8 +871,8 @@ void PosixTransport::loop() {
         CPU_SET(static_cast<unsigned>(options_.pin_cpu), &set);
         (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
     }
-    // Runs before the first epoll_wait, so it precedes every timer, handler
-    // and external callback this loop will ever invoke.
+    // Runs before the first epoll_wait, so it precedes every timer and
+    // handler this loop will ever invoke.
     if (options_.loop_start) options_.loop_start();
     while (running_) {
         DurationUs timeout_us = 100 * kMillisecond;  // idle tick
@@ -957,20 +941,6 @@ void PosixTransport::loop() {
                         flush_tcp_locked(fd);
                     }
                     break;
-                case FdKind::kExternal: {
-                    // Entries are never removed while the loop runs, so the
-                    // pointer fetched under the lock stays valid for the call
-                    // (made outside the lock: the callback may re-enter the
-                    // transport, e.g. to deliver a forwarded datagram).
-                    std::function<void()>* cb = nullptr;
-                    {
-                        std::scoped_lock lock(mutex_);
-                        const auto eit = external_.find(fd);
-                        if (eit != external_.end()) cb = eit->second.get();
-                    }
-                    if (cb != nullptr) (*cb)();
-                    break;
-                }
             }
         }
 

@@ -66,16 +66,12 @@ struct PosixTransportOptions {
     /// traversal carries a whole batch each way. Falls back transparently
     /// (probed once at construction, and disabled on the first EINVAL).
     bool udp_gso = true;
-    /// Set SO_REUSEPORT on the UDP socket and TCP listener before bind, so
-    /// several transports (the shards of a ShardRuntime) can bind the same
-    /// port and the kernel spreads flows across them by 4-tuple hash.
-    bool reuseport = false;
     /// Pin the event-loop thread to this CPU (-1 = no pinning). Used by the
     /// sharded runtime's thread-per-core mode.
     int pin_cpu = -1;
     /// Runs on the event-loop thread before its first iteration — before
-    /// any timer, handler or external callback can fire. The sharded
-    /// runtime uses it to stamp the thread-local shard identity.
+    /// any timer or handler can fire. The sharded runtime uses it to stamp
+    /// the thread-local shard identity.
     std::function<void()> loop_start;
 };
 
@@ -93,7 +89,8 @@ public:
     /// Binds a UDP socket and a TCP listener on 127.0.0.1:port. The
     /// Endpoint's host id is an application-level label (all traffic is
     /// loopback); the port must be unique within the process/machine.
-    /// Throws std::system_error on bind failure.
+    /// Rebinding a bound endpoint replaces its handler and keeps its
+    /// sockets. Throws std::system_error on bind failure.
     void bind(const Endpoint& local, MessageHandler* handler) override;
     void unbind(const Endpoint& local) override;
     void send_datagram(const Endpoint& from, const Endpoint& to, Bytes data) override;
@@ -104,19 +101,8 @@ public:
     /// Borrow an encode buffer from the recycling pool (returned to the
     /// pool after the bytes hit the wire when passed back via send_*).
     Bytes acquire_buffer() override;
-    /// Return a buffer obtained from acquire_buffer() that will NOT travel
-    /// through send_* (e.g. a cross-shard delivery payload after the
-    /// borrowing handler returned). Safe from any thread.
-    void release_buffer(Bytes buf) { pool_.release(std::move(buf)); }
     /// The recycling pool (sizing/occupancy introspection for snapshots).
     [[nodiscard]] const BufferPool& buffer_pool() const { return pool_; }
-
-    /// Register an external event fd (eventfd/pipe read end): whenever it
-    /// polls readable, `on_ready` runs on the event-loop thread — the
-    /// cross-shard handoff wakeup of the sharded runtime. `on_ready` must
-    /// drain the fd itself. The callback may not be unregistered while the
-    /// loop runs; it is dropped (not invoked) at destruction.
-    void add_external(int fd, std::function<void()> on_ready);
 
     // --- Scheduler ----------------------------------------------------------
     TimerHandle schedule(DurationUs delay, std::function<void()> task) override;
@@ -210,7 +196,7 @@ private:
 
     /// What the reactor knows about a registered fd: dispatch without
     /// scanning any container.
-    enum class FdKind : std::uint8_t { kWake, kUdp, kListen, kTcp, kExternal };
+    enum class FdKind : std::uint8_t { kWake, kUdp, kListen, kTcp };
     struct FdEntry {
         FdKind kind;
         Endpoint owner;  ///< bound endpoint for kUdp/kListen
@@ -262,10 +248,6 @@ private:
     std::unordered_map<int, FdEntry> fd_table_;                       // reactor dispatch
     std::map<std::pair<Endpoint, Endpoint>, int> outgoing_;           // (from,to) -> fd
     std::map<MulticastGroup, std::vector<Endpoint>> groups_;
-    /// External-fd callbacks (add_external). Entries are never erased while
-    /// the loop runs, so the loop may call through a raw pointer fetched
-    /// under mutex_ without holding the lock across the call.
-    std::unordered_map<int, std::unique_ptr<std::function<void()>>> external_;
     std::map<std::uint16_t, Endpoint> port_to_endpoint_;
     /// Bumped (under mutex_) whenever port_to_endpoint_ changes; the loop
     /// thread keeps a lock-free snapshot in its scratch and refreshes it on

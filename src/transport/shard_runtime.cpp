@@ -1,12 +1,6 @@
 #include "transport/shard_runtime.hpp"
 
-#include <sys/eventfd.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <stdexcept>
-#include <system_error>
 
 #include "obs/json.hpp"
 
@@ -14,31 +8,26 @@ namespace narada::transport {
 namespace {
 
 /// Which shard of which runtime the calling thread is. Stamped by each
-/// shard's loop_start hook before its first loop iteration, so routing
-/// decisions on reactor threads are a TLS read — no lock, no map.
+/// shard's loop_start hook before its first loop iteration, so the check
+/// is a TLS read — no lock, no map.
 thread_local ShardRuntime* tls_runtime = nullptr;
 thread_local std::size_t tls_shard = 0;
-
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 }  // namespace
 
 // --- ShardPort --------------------------------------------------------------
 
+PosixTransport& ShardPort::own() const { return *rt_->shards_[shard_]; }
+
 void ShardPort::bind(const Endpoint& local, MessageHandler* handler) {
-    rt_->do_bind(local, handler, static_cast<int>(shard_));
+    own().bind(local, handler);
 }
 void ShardPort::unbind(const Endpoint& local) { rt_->unbind(local); }
 void ShardPort::send_datagram(const Endpoint& from, const Endpoint& to, Bytes data) {
-    rt_->send_datagram(from, to, std::move(data));
+    own().send_datagram(from, to, std::move(data));
 }
 void ShardPort::send_reliable(const Endpoint& from, const Endpoint& to, Bytes data) {
-    rt_->send_reliable(from, to, std::move(data));
+    own().send_reliable(from, to, std::move(data));
 }
 void ShardPort::join_multicast(MulticastGroup group, const Endpoint& local) {
     rt_->join_multicast(group, local);
@@ -47,25 +36,24 @@ void ShardPort::leave_multicast(MulticastGroup group, const Endpoint& local) {
     rt_->leave_multicast(group, local);
 }
 void ShardPort::send_multicast(MulticastGroup group, const Endpoint& from, Bytes data) {
-    rt_->send_multicast(group, from, std::move(data));
+    own().send_multicast(group, from, std::move(data));
 }
-Bytes ShardPort::acquire_buffer() { return rt_->acquire_buffer(); }
+Bytes ShardPort::acquire_buffer() { return own().acquire_buffer(); }
 
 TimerHandle ShardPort::schedule(DurationUs delay, std::function<void()> task) {
     return rt_->schedule_on(shard_, delay, std::move(task));
 }
-void ShardPort::cancel_timer(TimerHandle handle) { rt_->cancel_encoded(handle); }
+void ShardPort::cancel_timer(TimerHandle handle) { rt_->cancel_timer(handle); }
 
 // --- ShardRuntime -----------------------------------------------------------
 
-ShardRuntime::ShardRuntime(ShardRuntimeOptions options) : options_(std::move(options)) {
-    const std::size_t n = std::max<std::size_t>(1, options_.shards);
+ShardRuntime::ShardRuntime(ShardRuntimeOptions options) {
+    const std::size_t n = std::max<std::size_t>(1, options.shards);
 
     shards_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        PosixTransportOptions t = options_.transport;
-        t.reuseport = n > 1;  // one shard = plain PosixTransport semantics
-        t.pin_cpu = i < options_.pin_cpus.size() ? options_.pin_cpus[i] : -1;
+        PosixTransportOptions t = options.transport;
+        t.pin_cpu = i < options.pin_cpus.size() ? options.pin_cpus[i] : -1;
         t.loop_start = [this, i] {
             tls_runtime = this;
             tls_shard = i;
@@ -78,134 +66,31 @@ ShardRuntime::ShardRuntime(ShardRuntimeOptions options) : options_(std::move(opt
         ports_[i].rt_ = this;
         ports_[i].shard_ = i;
     }
-
-    if (n > 1) {
-        rings_.resize(n * n);
-        for (std::size_t p = 0; p < n; ++p) {
-            for (std::size_t c = 0; c < n; ++c) {
-                if (p == c) continue;
-                rings_[p * n + c] = std::make_unique<SpscRing<Handoff>>(options_.handoff_depth);
-            }
-        }
-        eventfds_.resize(n, -1);
-        for (std::size_t c = 0; c < n; ++c) {
-            eventfds_[c] = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-            if (eventfds_[c] < 0) {
-                throw std::system_error(errno, std::generic_category(), "eventfd");
-            }
-            shards_[c]->add_external(eventfds_[c], [this, c] { drain_handoffs(c); });
-        }
-    }
 }
 
 ShardRuntime::~ShardRuntime() {
-    // Joining the loop threads first guarantees no shard is mid-handoff
-    // when the rings destruct; leftover ring payloads are freed with their
-    // slots (SpscRing destructor drain).
+    // Join every reactor before the ports its callbacks may call through.
     shards_.clear();
-    for (int fd : eventfds_) {
-        if (fd >= 0) ::close(fd);
-    }
 }
 
 int ShardRuntime::current_shard() const {
     return tls_runtime == this ? static_cast<int>(tls_shard) : -1;
 }
 
-std::size_t ShardRuntime::route_shard() const {
-    // A reactor thread uses its own shard's sockets and pool (its mutex is
-    // only ever contended with control-plane calls); external threads all
-    // funnel to shard 0, keeping their acquire/send/release cycle inside
-    // one pool.
-    return tls_runtime == this ? tls_shard : 0;
-}
-
-std::size_t ShardRuntime::flow_shard(const Endpoint& from, const Endpoint& to) const {
-    const std::uint64_t key = (static_cast<std::uint64_t>(from.host) << 32) ^
-                              (static_cast<std::uint64_t>(from.port) << 16) ^
-                              (static_cast<std::uint64_t>(to.host) << 8) ^ to.port;
-    return static_cast<std::size_t>(mix64(key) % shards_.size());
-}
-
-// --- binding ----------------------------------------------------------------
+// --- Transport (shard 0) ----------------------------------------------------
 
 void ShardRuntime::bind(const Endpoint& local, MessageHandler* handler) {
-    do_bind(local, handler, 0);
+    ports_[0].bind(local, handler);
 }
-void ShardRuntime::bind_home(const Endpoint& local, MessageHandler* handler, std::size_t home) {
-    do_bind(local, handler, static_cast<int>(std::min(home, shards_.size() - 1)));
-}
-void ShardRuntime::bind_spread(const Endpoint& local, MessageHandler* handler) {
-    do_bind(local, handler, -1);
-}
-
-void ShardRuntime::do_bind(const Endpoint& local, MessageHandler* handler, int home) {
-    if (handler == nullptr) throw std::invalid_argument("bind: null handler");
-    const std::size_t n = shards_.size();
-    if (home >= static_cast<int>(n)) home = static_cast<int>(n) - 1;
-
-    std::scoped_lock lock(mutex_);
-    if (const auto it = bound_.find(local); it != bound_.end()) {
-        // Rebind: swap the delivery target in place (quiescent traffic
-        // only, same contract as PosixTransport rebinding).
-        it->second.target = handler;
-        it->second.home = home;
-        for (auto& proxy : it->second.proxies) {
-            proxy->target = handler;
-            proxy->home = home;
-        }
-        return;
-    }
-
-    BoundEndpoint be;
-    be.target = handler;
-    be.home = home;
-    be.proxies.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        auto proxy = std::make_unique<DeliveryProxy>();
-        proxy->rt = this;
-        proxy->shard = s;
-        proxy->target = handler;
-        proxy->home = home;
-        be.proxies.push_back(std::move(proxy));
-    }
-    auto [it, inserted] = bound_.emplace(local, std::move(be));
-    std::size_t done = 0;
-    try {
-        for (; done < n; ++done) {
-            shards_[done]->bind(local, it->second.proxies[done].get());
-        }
-    } catch (...) {
-        for (std::size_t s = 0; s < done; ++s) shards_[s]->unbind(local);
-        bound_.erase(it);
-        throw;
-    }
-}
-
 void ShardRuntime::unbind(const Endpoint& local) {
-    std::scoped_lock lock(mutex_);
-    const auto it = bound_.find(local);
-    if (it == bound_.end()) return;
     for (auto& shard : shards_) shard->unbind(local);
-    // In-flight handoffs hold the target MessageHandler*, not the proxy:
-    // like PosixTransport, the handler itself must outlive any deliveries
-    // still queued at unbind time.
-    bound_.erase(it);
 }
-
-// --- data plane -------------------------------------------------------------
-
 void ShardRuntime::send_datagram(const Endpoint& from, const Endpoint& to, Bytes data) {
-    shards_[route_shard()]->send_datagram(from, to, std::move(data));
+    ports_[0].send_datagram(from, to, std::move(data));
 }
-
 void ShardRuntime::send_reliable(const Endpoint& from, const Endpoint& to, Bytes data) {
-    // Flow-hashed no matter the calling thread: every frame of a
-    // (from, to) pair rides one shard's single TCP connection, so per-pair
-    // FIFO survives sharding.
-    shards_[flow_shard(from, to)]->send_reliable(from, to, std::move(data));
+    ports_[0].send_reliable(from, to, std::move(data));
 }
-
 void ShardRuntime::join_multicast(MulticastGroup group, const Endpoint& local) {
     for (auto& shard : shards_) shard->join_multicast(group, local);
 }
@@ -213,17 +98,15 @@ void ShardRuntime::leave_multicast(MulticastGroup group, const Endpoint& local) 
     for (auto& shard : shards_) shard->leave_multicast(group, local);
 }
 void ShardRuntime::send_multicast(MulticastGroup group, const Endpoint& from, Bytes data) {
-    shards_[route_shard()]->send_multicast(group, from, std::move(data));
+    ports_[0].send_multicast(group, from, std::move(data));
 }
-
-Bytes ShardRuntime::acquire_buffer() { return shards_[route_shard()]->acquire_buffer(); }
+Bytes ShardRuntime::acquire_buffer() { return ports_[0].acquire_buffer(); }
 
 // --- timers -----------------------------------------------------------------
 
 TimerHandle ShardRuntime::schedule(DurationUs delay, std::function<void()> task) {
     return schedule_on(0, delay, std::move(task));
 }
-void ShardRuntime::cancel_timer(TimerHandle handle) { cancel_encoded(handle); }
 
 TimerHandle ShardRuntime::schedule_on(std::size_t shard, DurationUs delay,
                                       std::function<void()> task) {
@@ -231,7 +114,7 @@ TimerHandle ShardRuntime::schedule_on(std::size_t shard, DurationUs delay,
     return encode_timer(shard, inner);
 }
 
-void ShardRuntime::cancel_encoded(TimerHandle handle) {
+void ShardRuntime::cancel_timer(TimerHandle handle) {
     if (handle == kInvalidTimerHandle) return;
     const auto tag = static_cast<std::size_t>(handle >> kTimerShardShift);
     if (tag == 0 || tag > shards_.size()) return;  // not one of ours
@@ -239,114 +122,10 @@ void ShardRuntime::cancel_encoded(TimerHandle handle) {
     shards_[tag - 1]->cancel_timer(inner);
 }
 
-// --- cross-shard handoff ----------------------------------------------------
-
-void ShardRuntime::DeliveryProxy::on_datagram(const Endpoint& from, const Bytes& data) {
-    if (home < 0 || static_cast<std::size_t>(home) == shard) {
-        target->on_datagram(from, data);
-        return;
-    }
-    rt->forward_frame(shard, static_cast<std::size_t>(home), from, data, false, target);
-}
-
-void ShardRuntime::DeliveryProxy::on_reliable(const Endpoint& from, const Bytes& data) {
-    if (home < 0 || static_cast<std::size_t>(home) == shard) {
-        target->on_reliable(from, data);
-        return;
-    }
-    rt->forward_frame(shard, static_cast<std::size_t>(home), from, data, true, target);
-}
-
-bool ShardRuntime::forward(std::size_t producer, std::size_t consumer, Handoff&& h) {
-    if (!ring(producer, consumer).push(std::move(h))) return false;
-    // Signal after the push: a wakeup never precedes its handoff, so the
-    // consumer cannot drain-then-sleep past a visible element.
-    signal(consumer);
-    return true;
-}
-
-void ShardRuntime::forward_frame(std::size_t producer, std::size_t consumer,
-                                 const Endpoint& from, const Bytes& data, bool reliable,
-                                 MessageHandler* target) {
-    Handoff h;
-    h.kind = reliable ? Handoff::Kind::kReliable : Handoff::Kind::kDatagram;
-    h.producer = static_cast<std::uint8_t>(producer);
-    h.from = from;
-    h.handler = target;
-    // The inbound bytes are a borrow of the arrival shard's receive
-    // scratch; copy them into that shard's pool so the home shard gets a
-    // stable payload and the buffer returns to the pool it came from.
-    h.payload = shards_[producer]->acquire_buffer();
-    h.payload.assign(data.begin(), data.end());
-    if (!forward(producer, consumer, std::move(h))) {
-        // Ring full: shed like UDP under pressure (a reliable frame is
-        // dropped too — bounded rings beat unbounded memory; the RUDP/ TCP
-        // layers above already handle loss and retransmit).
-        shards_[producer]->release_buffer(std::move(h.payload));
-        if (inst_.dropped != nullptr) inst_.dropped->shard(producer).inc();
-        return;
-    }
-    if (inst_.forwarded != nullptr) inst_.forwarded->shard(producer).inc();
-}
-
-void ShardRuntime::signal(std::size_t consumer) {
-    const std::uint64_t one = 1;
-    (void)!::write(eventfds_[consumer], &one, sizeof(one));
-}
-
-void ShardRuntime::drain_handoffs(std::size_t consumer) {
-    std::uint64_t drained_fd = 0;
-    while (::read(eventfds_[consumer], &drained_fd, sizeof(drained_fd)) > 0) {
-    }
-    const std::size_t n = shards_.size();
-    std::size_t dispatched = 0;
-    Handoff h;
-    for (std::size_t p = 0; p < n; ++p) {
-        if (p == consumer) continue;
-        SpscRing<Handoff>& r = ring(p, consumer);
-        while (r.pop(h)) {
-            ++dispatched;
-            switch (h.kind) {
-                case Handoff::Kind::kDatagram:
-                    h.handler->on_datagram(h.from, h.payload);
-                    shards_[h.producer]->release_buffer(std::move(h.payload));
-                    break;
-                case Handoff::Kind::kReliable:
-                    h.handler->on_reliable(h.from, h.payload);
-                    shards_[h.producer]->release_buffer(std::move(h.payload));
-                    break;
-                case Handoff::Kind::kTask:
-                    h.fn(h.arg);
-                    break;
-            }
-            if (inst_.delivered != nullptr) inst_.delivered->shard(consumer).inc();
-        }
-    }
-    if (dispatched > 0 && inst_.drain_batch != nullptr) {
-        inst_.drain_batch->shard(consumer).observe(static_cast<double>(dispatched));
-    }
-}
-
 void ShardRuntime::run_on(std::size_t target, void (*fn)(void*), void* arg) {
-    const int cur = current_shard();
-    if (cur == static_cast<int>(target)) {
+    if (current_shard() == static_cast<int>(target)) {
         fn(arg);
         return;
-    }
-    if (cur >= 0) {
-        Handoff h;
-        h.kind = Handoff::Kind::kTask;
-        h.producer = static_cast<std::uint8_t>(cur);
-        h.fn = fn;
-        h.arg = arg;
-        if (forward(static_cast<std::size_t>(cur), target, std::move(h))) {
-            if (inst_.forwarded != nullptr) {
-                inst_.forwarded->shard(static_cast<std::size_t>(cur)).inc();
-            }
-            return;
-        }
-        // Full ring: tasks are never shed — fall through to the (heap-
-        // allocating, mutex-taking) timer post.
     }
     shards_[target]->schedule(0, [fn, arg] { fn(arg); });
 }
@@ -354,27 +133,16 @@ void ShardRuntime::run_on(std::size_t target, void (*fn)(void*), void* arg) {
 // --- observability ----------------------------------------------------------
 
 void ShardRuntime::set_observability(obs::MetricsRegistry* metrics, const std::string& node) {
-    const std::size_t n = shards_.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
         shards_[i]->set_observability(metrics, node + "#" + std::to_string(i));
     }
-    inst_ = {};
-    if (metrics == nullptr) return;
-    inst_.forwarded = &metrics->sharded_counter("transport_handoff_forwarded", node, n);
-    inst_.dropped = &metrics->sharded_counter("transport_handoff_dropped", node, n);
-    inst_.delivered = &metrics->sharded_counter("transport_handoff_delivered", node, n);
-    inst_.drain_batch =
-        &metrics->sharded_histogram("transport_handoff_batch", node, n, obs::batch_buckets());
 }
 
 std::string ShardRuntime::debug_snapshot() const {
     obs::JsonWriter w;
     w.begin_object()
         .field("component", "shard_runtime")
-        .field("shards", static_cast<std::uint64_t>(shards_.size()))
-        .field("handoff_forwarded", inst_.forwarded != nullptr ? inst_.forwarded->value() : 0)
-        .field("handoff_dropped", inst_.dropped != nullptr ? inst_.dropped->value() : 0)
-        .field("handoff_delivered", inst_.delivered != nullptr ? inst_.delivered->value() : 0);
+        .field("shards", static_cast<std::uint64_t>(shards_.size()));
     w.key("pools").begin_array();
     for (const auto& shard : shards_) {
         const BufferPool& pool = shard->buffer_pool();

@@ -2,45 +2,37 @@
 //
 // A ShardRuntime runs N PosixTransport reactors ("shards"), each with its
 // own epoll loop thread, BufferPool, DatagramRing send queues, timer heap
-// and recv/send scratch — strictly share-nothing on the hot path. Every
-// endpoint bound through the runtime is bound on every shard with
-// SO_REUSEPORT, so the kernel hashes each flow's 4-tuple and spreads the
-// inbound datagram load across the reactors with no user-space
-// coordination at all: a datagram is received, parsed and (usually)
-// answered entirely on one core that touches no shared lock.
+// and recv/send scratch — strictly share-nothing on the hot path.
 //
 // Serialization contract. Protocol objects (Broker, Bdn, RudpChannel …)
 // are single-threaded by design — on the sim they ride the virtual-time
 // kernel, on one PosixTransport they ride its loop thread. The sharded
 // runtime preserves that contract with *home shards*: port(i) hands out a
-// ShardPort (a Transport + Scheduler facade) whose bind() pins the
-// endpoint's handler to shard i. Datagrams the kernel lands on the home
-// shard are delivered directly; datagrams landing elsewhere hop once over
-// a bounded lock-free SPSC ring (one per ordered shard pair, eventfd
-// wakeup) and are delivered on the home thread. Timers scheduled through a
-// ShardPort fire on its shard's thread. The result: a protocol object
-// homed on shard i only ever executes on shard i's thread, locklessly,
-// while the runtime as a whole scales across cores.
+// ShardPort (a Transport + Scheduler facade) whose bind() binds the
+// endpoint's UDP socket and TCP listener on shard i only. Every datagram
+// and frame addressed to the endpoint is received on shard i's thread,
+// everything it sends leaves through shard i's sockets, and timers
+// scheduled through the port fire there too. A protocol object homed on
+// shard i therefore only ever executes on shard i's thread, locklessly,
+// and no packet crosses between shards; the runtime uses more cores by
+// homing more protocol objects, one per shard or more.
 //
-// Cross-shard rules (DESIGN.md "Threading model"):
-//   * forwarded payloads are copied into a buffer from the *arrival*
-//     shard's pool and released back to that pool after delivery, so pools
-//     never leak buffers across shards;
-//   * rings are bounded: a full ring sheds datagrams (UDP semantics,
-//     counted) and falls back to a heap-allocating timer post for tasks
-//     (never lost);
-//   * send_reliable is flow-hashed over (from, to) no matter the calling
-//     thread, preserving per-pair FIFO through a single TCP connection.
+// Routing rules (DESIGN.md "Threading model"):
+//   * an endpoint lives on exactly one shard: binding it through a second
+//     shard fails like binding its port twice;
+//   * a ShardPort routes its sends, acquire_buffer() and timers to its own
+//     shard whatever thread calls it, so nodes can be started from main();
+//   * the runtime's own Transport and Scheduler calls are shard 0's;
+//   * a reliable frame leaves from its sender's home shard, so every frame
+//     of a (from, to) pair rides one TCP connection and keeps per-pair FIFO.
 //
-// shards = 1 degenerates to a plain PosixTransport (no SO_REUSEPORT, no
-// rings, direct delivery) — the virtual-time sim is untouched either way.
+// shards = 1 is a plain PosixTransport — the virtual-time sim is untouched
+// either way.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,7 +40,6 @@
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 #include "transport/posix_transport.hpp"
-#include "transport/spsc_ring.hpp"
 #include "transport/transport.hpp"
 
 namespace narada::transport {
@@ -59,21 +50,18 @@ struct ShardRuntimeOptions {
     /// Optional CPU pins, one per shard (shorter vectors pin a prefix; -1
     /// entries skip that shard).
     std::vector<int> pin_cpus;
-    /// Capacity of each cross-shard handoff ring (rounded up to a power of
-    /// two by SpscRing).
-    std::size_t handoff_depth = 1024;
-    /// Per-shard datapath knobs (reuseport/pin_cpu/loop_start are managed
-    /// by the runtime and overwritten).
+    /// Per-shard datapath knobs (pin_cpu/loop_start are managed by the
+    /// runtime and overwritten).
     PosixTransportOptions transport;
 };
 
 class ShardRuntime;
 
-/// Per-shard Transport + Scheduler facade. bind() homes the endpoint's
-/// handler on this shard (all callbacks and timers on one thread); sends
-/// route through the calling shard's own sockets when already on a shard
-/// thread. Obtained from ShardRuntime::port(i); copyable handles, owned by
-/// the runtime.
+/// Per-shard Transport + Scheduler facade. bind() homes the endpoint on
+/// this shard: its sockets, handler callbacks and timers all live on one
+/// thread. Sends, acquire_buffer() and timers route to this shard from any
+/// calling thread. Obtained from ShardRuntime::port(i); owned by the
+/// runtime.
 class ShardPort final : public Transport, public Scheduler {
 public:
     // --- Transport ----------------------------------------------------------
@@ -96,6 +84,8 @@ private:
     friend class ShardRuntime;
     ShardPort() = default;
 
+    [[nodiscard]] PosixTransport& own() const;
+
     ShardRuntime* rt_ = nullptr;
     std::size_t shard_ = 0;
 };
@@ -110,52 +100,40 @@ public:
 
     [[nodiscard]] std::size_t shards() const { return shards_.size(); }
     /// The per-shard facade: bind a protocol object through port(i) to home
-    /// it (handler callbacks + timers) on shard i's thread.
+    /// it (sockets, handler callbacks and timers) on shard i's thread.
     [[nodiscard]] ShardPort& port(std::size_t i) { return ports_[i]; }
-    /// Shard i's underlying transport (pool introspection in tests).
-    [[nodiscard]] const PosixTransport& shard_transport(std::size_t i) const {
-        return *shards_[i];
-    }
 
-    // --- Transport ----------------------------------------------------------
+    // --- Transport (shard 0) ------------------------------------------------
     /// Homes the handler on shard 0 — drop-in PosixTransport semantics
-    /// (everything serialized on one thread). Spread protocol objects over
+    /// (everything serialized on one thread). Home protocol objects on
     /// port(i) to use more cores.
     void bind(const Endpoint& local, MessageHandler* handler) override;
+    /// Releases the endpoint on whichever shard it is bound.
     void unbind(const Endpoint& local) override;
     void send_datagram(const Endpoint& from, const Endpoint& to, Bytes data) override;
     void send_reliable(const Endpoint& from, const Endpoint& to, Bytes data) override;
+    /// Membership is registered on every shard: a multicast send reads the
+    /// member list of the sender's own shard.
     void join_multicast(MulticastGroup group, const Endpoint& local) override;
     void leave_multicast(MulticastGroup group, const Endpoint& local) override;
     void send_multicast(MulticastGroup group, const Endpoint& from, Bytes data) override;
     Bytes acquire_buffer() override;
 
-    /// Homes the handler on shard `home`: datagrams landing on other shards
-    /// are forwarded over the handoff rings and delivered on shard `home`'s
-    /// thread, so `handler` needs no synchronization.
-    void bind_home(const Endpoint& local, MessageHandler* handler, std::size_t home);
-    /// No home: deliver on whichever shard the kernel picked, concurrently.
-    /// `handler` must be thread-safe (packet-level counters, stateless
-    /// reflectors — the bench uses this to measure raw spread).
-    void bind_spread(const Endpoint& local, MessageHandler* handler);
-
     // --- Scheduler (fires on shard 0) ---------------------------------------
     TimerHandle schedule(DurationUs delay, std::function<void()> task) override;
+    /// Cancels a timer scheduled through the runtime or any of its ports.
     void cancel_timer(TimerHandle handle) override;
 
-    /// Run `fn(arg)` on shard `target`'s thread. From another shard of this
-    /// runtime this is a zero-alloc ring handoff; from shard `target`
-    /// itself it runs inline; from any other thread it falls back to a
-    /// zero-delay timer (allocates). Never lost: a full ring also falls
-    /// back to the timer path.
+    /// Run `fn(arg)` on shard `target`'s thread: inline when called from
+    /// that shard, otherwise as a zero-delay timer on it (never lost).
     void run_on(std::size_t target, void (*fn)(void*), void* arg);
 
-    /// Per-shard instruments under node labels "<node>#0".."<node>#N-1",
-    /// plus runtime-level sharded handoff counters under `node`. MUST be
-    /// called before the first bind (same contract as PosixTransport).
+    /// Per-shard instruments under node labels "<node>#0".."<node>#N-1".
+    /// MUST be called before the first bind (same contract as
+    /// PosixTransport).
     void set_observability(obs::MetricsRegistry* metrics, const std::string& node = "sharded");
-    /// One-line JSON: shard count, handoff totals, per-shard pool sizing
-    /// (idle + high-watermark).
+    /// One-line JSON: shard count and per-shard pool sizing (idle +
+    /// high-watermark).
     [[nodiscard]] std::string debug_snapshot() const;
 
     /// The shard index the calling thread belongs to, or -1 if the caller
@@ -165,82 +143,15 @@ public:
 private:
     friend class ShardPort;
 
-    /// One unit crossing a shard boundary: a forwarded datagram/reliable
-    /// frame (pooled payload owned by `producer`'s pool) or a raw task.
-    struct Handoff {
-        enum class Kind : std::uint8_t { kDatagram, kReliable, kTask };
-        Kind kind = Kind::kDatagram;
-        std::uint8_t producer = 0;  ///< shard whose pool owns `payload`
-        Endpoint from;
-        MessageHandler* handler = nullptr;
-        Bytes payload;
-        void (*fn)(void*) = nullptr;
-        void* arg = nullptr;
-    };
-
-    /// Per-shard MessageHandler wrapper installed on the underlying
-    /// transports: delivers directly on the home shard, forwards otherwise.
-    struct DeliveryProxy final : MessageHandler {
-        void on_datagram(const Endpoint& from, const Bytes& data) override;
-        void on_reliable(const Endpoint& from, const Bytes& data) override;
-
-        ShardRuntime* rt = nullptr;
-        std::size_t shard = 0;     ///< which shard this proxy is bound on
-        MessageHandler* target = nullptr;
-        int home = -1;             ///< -1 = spread (deliver in place)
-    };
-
-    struct BoundEndpoint {
-        MessageHandler* target = nullptr;
-        int home = -1;
-        std::vector<std::unique_ptr<DeliveryProxy>> proxies;  ///< one per shard
-    };
-
     static constexpr unsigned kTimerShardShift = 56;
     [[nodiscard]] static TimerHandle encode_timer(std::size_t shard, TimerHandle inner) {
         return (static_cast<TimerHandle>(shard + 1) << kTimerShardShift) | inner;
     }
 
-    void do_bind(const Endpoint& local, MessageHandler* handler, int home);
-    /// Shard whose sockets/pool a call on the current thread should use:
-    /// the caller's own shard on a reactor thread, shard 0 otherwise.
-    [[nodiscard]] std::size_t route_shard() const;
-    /// Deterministic flow shard for (from, to) — FIFO for send_reliable.
-    [[nodiscard]] std::size_t flow_shard(const Endpoint& from, const Endpoint& to) const;
-    [[nodiscard]] SpscRing<Handoff>& ring(std::size_t producer, std::size_t consumer) {
-        return *rings_[producer * shards_.size() + consumer];
-    }
-    /// Forward one unit from `producer` to `consumer`; returns false (ring
-    /// full) without signaling — `h` is left intact for the caller to
-    /// reclaim.
-    bool forward(std::size_t producer, std::size_t consumer, Handoff&& h);
-    /// Copy an inbound frame into `producer`'s pool and forward it to the
-    /// home shard (sheds + counts on a full ring).
-    void forward_frame(std::size_t producer, std::size_t consumer, const Endpoint& from,
-                       const Bytes& data, bool reliable, MessageHandler* target);
-    void signal(std::size_t consumer);
-    /// eventfd callback on shard c: drain the fd, then pop + dispatch every
-    /// producer ring into c.
-    void drain_handoffs(std::size_t consumer);
-
     TimerHandle schedule_on(std::size_t shard, DurationUs delay, std::function<void()> task);
-    void cancel_encoded(TimerHandle handle);
 
-    ShardRuntimeOptions options_;
     std::vector<std::unique_ptr<PosixTransport>> shards_;
     std::unique_ptr<ShardPort[]> ports_;  ///< one per shard (private ctor)
-    std::vector<std::unique_ptr<SpscRing<Handoff>>> rings_;  ///< producer*N + consumer
-    std::vector<int> eventfds_;  ///< consumer-side wakeup, one per shard
-
-    std::mutex mutex_;  ///< control plane only: bind/unbind bookkeeping
-    std::map<Endpoint, BoundEndpoint> bound_;
-
-    struct Instruments {
-        obs::ShardedCounter* forwarded = nullptr;  ///< producer-slot increments
-        obs::ShardedCounter* dropped = nullptr;    ///< ring-full sheds (producer slot)
-        obs::ShardedCounter* delivered = nullptr;  ///< consumer-slot increments
-        obs::ShardedHistogram* drain_batch = nullptr;  ///< handoffs per wakeup
-    } inst_;
 };
 
 }  // namespace narada::transport

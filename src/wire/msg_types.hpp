@@ -41,10 +41,6 @@ constexpr std::uint8_t kMsgShardReply = 0x2A;        ///< gather: shard's candid
 constexpr std::uint8_t kMsgAdForward = 0x2B;         ///< ad relayed to its ring owners
 constexpr std::uint8_t kMsgRegistryDigest = 0x2C;    ///< anti-entropy shared-range digest
 
-// --- event archive / replays (§1 services) -----------------------------------
-constexpr std::uint8_t kMsgReplayRequest = 0x50;  ///< fetch archived history
-constexpr std::uint8_t kMsgReplayBatch = 0x51;    ///< archived events, oldest first
-
 // --- security (§9.1) ---------------------------------------------------------
 constexpr std::uint8_t kMsgSecureEnvelope = 0x40;  ///< signed + encrypted wrapper
 

@@ -209,20 +209,16 @@ TEST(NodeConfig, BdnFederationDefaults) {
 TEST(NodeConfig, TransportSectionParsesShardingKnobs) {
     const Ini ini = Ini::parse(R"(
 [transport]
-shards = 4
 pin_cpus = 0, 1, 2, 3
-handoff_depth = 512
 udp_batch = 16
 pool_buffers = 128
 udp_sockbuf = 262144
 udp_gso = false
 )");
     const TransportConfig c = TransportConfig::from_ini(ini);
-    EXPECT_EQ(c.shards, 4u);
     ASSERT_EQ(c.pin_cpus.size(), 4u);
     EXPECT_EQ(c.pin_cpus[0], 0);
     EXPECT_EQ(c.pin_cpus[3], 3);
-    EXPECT_EQ(c.handoff_depth, 512u);
     EXPECT_EQ(c.udp_batch, 16u);
     EXPECT_EQ(c.pool_buffers, 128u);
     EXPECT_EQ(c.udp_sockbuf, 262144u);
@@ -231,14 +227,8 @@ udp_gso = false
 
 TEST(NodeConfig, TransportDefaultsAndValidation) {
     const TransportConfig d = TransportConfig::from_ini(Ini::parse(""));
-    EXPECT_EQ(d.shards, 1u);
     EXPECT_TRUE(d.pin_cpus.empty());
-    EXPECT_EQ(d.handoff_depth, 1024u);
     EXPECT_TRUE(d.udp_gso);
-
-    // shards = 0 clamps to 1 (a runtime always has at least one reactor).
-    EXPECT_EQ(TransportConfig::from_ini(Ini::parse("[transport]\nshards = 0\n")).shards,
-              1u);
     EXPECT_THROW(
         TransportConfig::from_ini(Ini::parse("[transport]\npin_cpus = 0, banana\n")),
         IniError);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.hpp"
 #include "sim/kernel.hpp"
 #include "sim/network.hpp"
+#include "timesvc/ntp.hpp"
 #include "wire/msg_types.hpp"
 
 namespace narada::discovery {
@@ -196,6 +198,32 @@ TEST_F(BdnFixture, AllInjectionIsSequentiallySpaced) {
     EXPECT_LT(a0, a1);
     EXPECT_LT(a1, a2);
     EXPECT_GE(a2 - a0, from_ms(20) + from_ms(45) - from_ms(5));  // spacing + latency gap
+}
+
+// Injection sends, and a sampled request's inject span, are timers that
+// outlive the request handler. Destroying the BDN while they are pending
+// must leave none of them reaching into it; the sends still go out.
+TEST_F(BdnFixture, DestroyedMidInjectionLeavesNoDanglingTimers) {
+    obs::SpanRecorder spans;
+    timesvc::FixedUtcSource utc(net.true_clock());
+    config::BdnConfig cfg;
+    cfg.injection = config::InjectionStrategy::kAll;
+    cfg.injection_spacing = from_ms(10);
+    for (const bool sampled : {false, true}) {
+        auto bdn = std::make_unique<Bdn>(kernel, net, Endpoint{bdn_host, 7100},
+                                         net.host_clock(bdn_host), cfg);
+        bdn->set_observability(nullptr, &spans, &utc);
+        register_all(*bdn, rng);
+        bdn->start();
+        kernel.run_until(kernel.now() + kSecond);
+        DiscoveryRequest req = make_request();
+        if (sampled) req.trace.trace_id = Uuid::random(rng);
+        send_request(*bdn, req);
+        while (bdn->stats().injections < brokers.size()) ASSERT_TRUE(kernel.step());
+        bdn.reset();
+        kernel.run_until(kernel.now() + kSecond);
+    }
+    for (const auto& broker : brokers) EXPECT_EQ(broker->requests.size(), 2u);
 }
 
 TEST_F(BdnFixture, AcksEveryRequestIncludingDuplicates) {

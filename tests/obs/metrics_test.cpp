@@ -110,54 +110,5 @@ TEST(Registry, CounterValueMissingIsZero) {
     EXPECT_EQ(registry.counter_value("never_created", "nowhere"), 0u);
 }
 
-TEST(ShardedCounter, SlotsSumAtScrapeTime) {
-    MetricsRegistry registry;
-    ShardedCounter& c = registry.sharded_counter("handoffs", "rt", 4);
-    ASSERT_EQ(c.shards(), 4u);
-    c.shard(0).inc(5);
-    c.shard(2).inc();
-    c.shard(3).inc(10);
-    EXPECT_EQ(c.value(), 16u);
-    // Same (name, node) returns the same instance; shard counts clamp >= 1.
-    EXPECT_EQ(&registry.sharded_counter("handoffs", "rt", 4), &c);
-    EXPECT_EQ(registry.sharded_counter("solo", "rt", 0).shards(), 1u);
-}
-
-TEST(ShardedCounter, FoldsIntoExportersAndLookup) {
-    MetricsRegistry registry;
-    ShardedCounter& c = registry.sharded_counter("handoffs", "rt", 3);
-    c.shard(0).inc(2);
-    c.shard(1).inc(3);
-    // counter_value falls through to sharded counters: per-shard layout is
-    // an implementation detail to every scrape-side consumer.
-    EXPECT_EQ(registry.counter_value("handoffs", "rt"), 5u);
-    EXPECT_NE(registry.to_prometheus().find("narada_handoffs{node=\"rt\"} 5"),
-              std::string::npos);
-    const std::string json = registry.to_json();
-    EXPECT_NE(json.find("\"name\":\"handoffs\""), std::string::npos);
-    EXPECT_NE(json.find("\"value\":5"), std::string::npos);
-}
-
-TEST(ShardedHistogram, MergedSnapshotAggregatesAllShards) {
-    MetricsRegistry registry;
-    ShardedHistogram& h = registry.sharded_histogram("batch", "rt", 2, {1.0, 8.0});
-    h.shard(0).observe(0.5);
-    h.shard(0).observe(4.0);
-    h.shard(1).observe(4.0);
-    h.shard(1).observe(100.0);
-    const Histogram::Snapshot snap = h.snapshot();
-    ASSERT_EQ(snap.counts.size(), 3u);  // two bounds + Inf
-    EXPECT_EQ(snap.counts[0], 1u);
-    EXPECT_EQ(snap.counts[1], 2u);
-    EXPECT_EQ(snap.counts[2], 1u);
-    EXPECT_EQ(snap.count, 4u);
-    EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 4.0 + 4.0 + 100.0);
-    // The exposition shows one merged histogram, cumulative buckets as
-    // usual.
-    const std::string text = registry.to_prometheus();
-    EXPECT_NE(text.find("narada_batch_bucket{node=\"rt\",le=\"8\"} 3"), std::string::npos);
-    EXPECT_NE(text.find("narada_batch_count{node=\"rt\"} 4"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace narada::obs

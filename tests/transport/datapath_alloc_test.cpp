@@ -27,6 +27,7 @@
 #include "discovery/security.hpp"
 #include "transport/rudp_channel.hpp"
 #include "transport/shard_runtime.hpp"
+#include "test_ports.hpp"
 #include "wire/codec.hpp"
 #include "wire/msg_types.hpp"
 
@@ -100,10 +101,9 @@ private:
 
 struct DatapathAllocFixture : ::testing::Test {
     DatapathAllocFixture() {
-        const std::uint16_t base = PosixTransport::find_free_port(47000);
-        a = Endpoint{1, base};
-        b = Endpoint{2, static_cast<std::uint16_t>(base + 1)};
-        c = Endpoint{3, static_cast<std::uint16_t>(base + 2)};
+        a = Endpoint{1, claim_test_port()};
+        b = Endpoint{2, claim_test_port()};
+        c = Endpoint{3, claim_test_port()};
     }
 
     /// Deterministically grow the pool's circulation to `depth` buffers:
@@ -486,13 +486,11 @@ INSTANTIATE_TEST_SUITE_P(Modes, SecuredAllocFixture,
 
 // --- Sharded datapath --------------------------------------------------------
 //
-// The thread-per-core guarantee: a warm ShardRuntime delivers datagrams —
-// including ones the kernel lands on a non-home shard, which cross a
-// bounded SPSC ring with an eventfd wakeup — with ZERO steady-state heap
-// allocations. A forwarded frame is copied into a buffer from the arrival
-// shard's pool (pooled, not minted, once warm), rides a preallocated ring
-// slot, and is released back to the arrival shard's pool after delivery on
-// the home thread.
+// The thread-per-core guarantee: a warm ShardRuntime delivers datagrams
+// with ZERO steady-state heap allocations, whether the receiver is homed
+// on the sender's shard or on another one. Either way a datagram leaves
+// through the sender's home-shard socket, from that shard's pool, and is
+// received straight into the receiver's home-shard slab.
 
 /// Allocation-free counting sink for a homed endpoint (serialized on its
 /// home shard by the runtime's contract).
@@ -529,26 +527,21 @@ struct ShardedAllocFixture : ::testing::Test {
         options.shards = 2;
         runtime = std::make_unique<ShardRuntime>(options);
 
-        std::uint16_t probe = PosixTransport::find_free_port(47500);
-        rx = Endpoint{1, probe};
-        ++probe;
-        // Distinct source ports = distinct reuseport flows: with 8 flows
-        // over 2 shards both the direct and the ring-forwarded arrival
-        // paths get exercised in every round.
+        rx = Endpoint{1, claim_test_port()};
         for (std::size_t i = 0; i < kSources; ++i) {
-            probe = PosixTransport::find_free_port(probe);
-            sources[i] = Endpoint{static_cast<HostId>(2 + i), probe};
-            ++probe;
+            sources[i] = Endpoint{static_cast<HostId>(2 + i), claim_test_port()};
         }
     }
 
+    /// Home the sources on shard 0 (the runtime's own bind) and the sink on
+    /// shard `home`.
     void bind_all(MessageHandler* sink, std::size_t home) {
-        runtime->bind_home(rx, sink, home);
+        runtime->port(home).bind(rx, sink);
         for (const Endpoint& src : sources) runtime->bind(src, &noop);
     }
 
-    /// One paced burst from the test thread (external -> shard 0 pool and
-    /// sockets), round-robin over the source flows.
+    /// One paced burst from the test thread through the runtime (shard 0's
+    /// pool and sockets), round-robin over the sources.
     bool send_round(const ShardedSink& sink, std::size_t count) {
         const std::uint64_t start = sink.received();
         for (std::size_t i = 0; i < count; ++i) {
@@ -562,9 +555,7 @@ struct ShardedAllocFixture : ::testing::Test {
         return sink.wait_for(start + count);
     }
 
-    /// Warm every pool in the circulation: the sender's (shard 0, external
-    /// route), and both arrival shards' pools, which mint forward copies on
-    /// their first cross-shard bursts.
+    /// Warm the sender's pool (shard 0) and the receive path.
     void warm(const ShardedSink& sink) {
         std::vector<Bytes> held;
         for (std::size_t i = 0; i < 32; ++i) held.push_back(runtime->acquire_buffer());
@@ -608,9 +599,9 @@ TEST_F(ShardedAllocFixture, HomeShardZeroPathIsAllocationFreeInSteadyState) {
         << delta << " allocations across 128 sharded datagrams (home shard 0)";
 }
 
-TEST_F(ShardedAllocFixture, CrossShardForwardPathIsAllocationFreeInSteadyState) {
-    // Home on shard 1 while the sender drives shard 0's sockets: every
-    // datagram the kernel lands on shard 0 must cross the handoff ring.
+TEST_F(ShardedAllocFixture, CrossShardSendPathIsAllocationFreeInSteadyState) {
+    // Sink homed on shard 1, sources on shard 0: every datagram leaves one
+    // shard's socket and is received on the other's.
     ShardedSink sink;
     bind_all(&sink, /*home=*/1);
     warm(sink);

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "transport/posix_transport.hpp"
+#include "test_ports.hpp"
 
 namespace narada::transport {
 namespace {
@@ -55,7 +56,7 @@ int raw_tcp_connect(std::uint16_t port) {
 
 struct AdversarialFixture : ::testing::Test {
     AdversarialFixture() {
-        ep = {0, PosixTransport::find_free_port(49000)};
+        ep = {0, claim_test_port()};
         transport.bind(ep, &rx);
     }
 

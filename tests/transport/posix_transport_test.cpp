@@ -11,6 +11,8 @@
 #include <mutex>
 #include <thread>
 
+#include "test_ports.hpp"
+
 namespace narada::transport {
 namespace {
 
@@ -57,9 +59,8 @@ private:
 
 struct PosixFixture : ::testing::Test {
     PosixFixture() {
-        const std::uint16_t base = PosixTransport::find_free_port(41000);
-        ep_a = {1, base};
-        ep_b = {2, PosixTransport::find_free_port(static_cast<std::uint16_t>(base + 1))};
+        ep_a = {1, claim_test_port()};
+        ep_b = {2, claim_test_port()};
         transport.bind(ep_a, &rx_a);
         transport.bind(ep_b, &rx_b);
     }
@@ -184,6 +185,15 @@ TEST_F(PosixFixture, UnbindStopsDelivery) {
     EXPECT_TRUE(rx_b.snapshot().empty());
 }
 
+TEST_F(PosixFixture, RebindReplacesHandlerAndKeepsSockets) {
+    Recorder replacement;
+    transport.bind(ep_b, &replacement);
+    transport.send_datagram(ep_a, ep_b, Bytes{7});
+    ASSERT_TRUE(replacement.wait_for(1));
+    EXPECT_EQ(replacement.snapshot()[0].data, (Bytes{7}));
+    EXPECT_TRUE(rx_b.snapshot().empty());
+}
+
 TEST_F(PosixFixture, BindConflictThrows) {
     Recorder other;
     PosixTransport second;
@@ -192,7 +202,7 @@ TEST_F(PosixFixture, BindConflictThrows) {
 }
 
 TEST_F(PosixFixture, ReliableToDeadEndpointDoesNotCrash) {
-    const Endpoint nobody{9, PosixTransport::find_free_port(45000)};
+    const Endpoint nobody{9, claim_test_port()};
     transport.send_reliable(ep_a, nobody, Bytes{1});
     transport.send_datagram(ep_a, nobody, Bytes{1});
     // Nothing to assert beyond "no crash / no hang".

@@ -15,18 +15,14 @@
 #include "discovery/broker_plugin.hpp"
 #include "discovery/client.hpp"
 #include "transport/posix_transport.hpp"
+#include "test_ports.hpp"
 
 namespace narada {
 namespace {
 
 struct RealStackFixture : ::testing::Test {
     RealStackFixture() : utc(wall) {
-        std::uint16_t port = transport::PosixTransport::find_free_port(43000);
-        auto next_port = [&port] {
-            const Endpoint ep{1, port};
-            port = transport::PosixTransport::find_free_port(static_cast<std::uint16_t>(port + 1));
-            return ep;
-        };
+        auto next_port = [] { return Endpoint{1, transport::claim_test_port()}; };
 
         config::BdnConfig bdn_cfg;
         bdn_cfg.ping_refresh_interval = from_ms(200);
@@ -115,8 +111,8 @@ TEST_F(RealStackFixture, EndToEndDiscoveryOverRealSockets) {
 }
 
 TEST_F(RealStackFixture, PubSubOverRealSockets) {
-    const Endpoint sub_ep{7, transport::PosixTransport::find_free_port(44000)};
-    const Endpoint pub_ep{8, transport::PosixTransport::find_free_port(44100)};
+    const Endpoint sub_ep{7, transport::claim_test_port()};
+    const Endpoint pub_ep{8, transport::claim_test_port()};
     broker::PubSubClient sub(transport, transport, sub_ep);
     broker::PubSubClient pub(transport, transport, pub_ep);
 
