@@ -382,7 +382,10 @@ void Broker::ingest(Event event, const Endpoint& source) {
         }
     };
     if (delay > 0) {
-        scheduler_.schedule(delay, std::move(process));
+        scheduler_.schedule(delay, [lifetime = std::weak_ptr<bool>(lifetime_),
+                                    process = std::move(process)] {
+            if (!lifetime.expired()) process();
+        });
     } else {
         process();
     }

@@ -229,6 +229,9 @@ private:
     std::vector<BrokerPlugin*> plugins_;
     PeerLinkObserver peer_observer_;
     TimerHandle peer_heartbeat_timer_ = kInvalidTimerHandle;
+    /// Expires with the broker. The modelled processing step is a timer
+    /// nobody cancels, so it holds a weak reference and checks it first.
+    std::shared_ptr<bool> lifetime_ = std::make_shared<bool>(true);
     Stats stats_;
     bool started_ = false;
 

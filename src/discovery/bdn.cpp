@@ -317,6 +317,9 @@ void Bdn::merge_entry(const RegistrySyncEntry& entry) {
     // only a strictly newer write replaces the ad payload. RTT and pong
     // history are local measurements and always survive the merge.
     if (std::pair(entry.version, entry.origin) > std::pair(rb.version, rb.origin)) {
+        if (rb.ad.endpoint != entry.ad.endpoint) {
+            unmap_endpoint(rb.ad.endpoint, entry.ad.broker_id);
+        }
         rb.ad = entry.ad;
         rb.origin = entry.origin;
         rb.version = entry.version;
@@ -374,7 +377,8 @@ std::string Bdn::debug_snapshot() const {
         .field("started", started_)
         .field("queue_depth", static_cast<std::uint64_t>(ingest_queue_.size()))
         .field("dedup_occupancy", static_cast<std::uint64_t>(seen_requests_.size()))
-        .field("dedup_evictions", seen_requests_.evictions());
+        .field("dedup_evictions", seen_requests_.evictions())
+        .field("endpoint_map_size", static_cast<std::uint64_t>(endpoint_to_broker_.size()));
     w.key("stats").begin_object()
         .field("ads_received", stats_.ads_received)
         .field("ads_filtered", stats_.ads_filtered)
@@ -654,6 +658,7 @@ void Bdn::register_advertisement(const BrokerAdvertisement& ad) {
     const bool known = registry_.contains(ad.broker_id);
     RegisteredBroker& rb = registry_[ad.broker_id];
     const DurationUs previous_rtt = known ? rb.rtt : -1;
+    if (known && rb.ad.endpoint != ad.endpoint) unmap_endpoint(rb.ad.endpoint, ad.broker_id);
     rb.ad = ad;
     rb.registered_at = local_clock_.now();
     rb.rtt = previous_rtt;
@@ -680,6 +685,11 @@ void Bdn::register_advertisement(const BrokerAdvertisement& ad) {
         writer.i64(local_clock_.now());
         transport_.send_datagram(local_, ad.endpoint, writer.take());
     }
+}
+
+void Bdn::unmap_endpoint(const Endpoint& endpoint, const Uuid& id) {
+    const auto it = endpoint_to_broker_.find(endpoint);
+    if (it != endpoint_to_broker_.end() && it->second == id) endpoint_to_broker_.erase(it);
 }
 
 void Bdn::handle_request(const Endpoint& from, const DiscoveryRequestView& view) {
@@ -1211,7 +1221,7 @@ void Bdn::refresh_distances() {
             evict = true;
         }
         if (evict) {
-            endpoint_to_broker_.erase(it->second.ad.endpoint);
+            unmap_endpoint(it->second.ad.endpoint, it->first);
             it = registry_.erase(it);
         } else {
             ++it;

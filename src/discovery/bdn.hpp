@@ -211,6 +211,10 @@ private:
     void handle_advertisement(const BrokerAdvertisementView& view);
     [[nodiscard]] bool realm_accepted(std::string_view realm) const;
     void register_advertisement(const BrokerAdvertisement& ad);
+    /// Drop `endpoint`'s mapping when broker `id` leaves it (moves or is
+    /// evicted). Several ids may share an endpoint, the last to advertise
+    /// owning the mapping, so it goes only while it still names `id`.
+    void unmap_endpoint(const Endpoint& endpoint, const Uuid& id);
 
     /// Hot entry: dedup, credential policy and shed decisions run on the
     /// borrowed view; the request is only materialized when it is actually
@@ -320,7 +324,7 @@ private:
     Rng rng_;
 
     std::map<Uuid, RegisteredBroker> registry_;        // by broker_id
-    std::map<Endpoint, Uuid> endpoint_to_broker_;
+    std::map<Endpoint, Uuid> endpoint_to_broker_;  // pong source -> registry entry
     broker::DedupCache seen_requests_{1000};
     std::unique_ptr<broker::PubSubClient> attachment_;
     TimerHandle refresh_timer_ = kInvalidTimerHandle;

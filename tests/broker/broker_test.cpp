@@ -272,6 +272,25 @@ TEST_F(BrokerFixture, PluginSeesEventsAndMessages) {
     EXPECT_EQ(probe.custom_messages, 1);
 }
 
+TEST_F(BrokerFixture, DestroyedWithinProcessingDelayLeavesNoDanglingTimer) {
+    struct Probe final : BrokerPlugin {
+        void on_attach(Broker&) override {}
+        void on_event(const Event&) override { ++events; }
+        int events = 0;
+    } probe;
+    brokers[0]->add_plugin(&probe);
+
+    // publish() schedules the modelled processing step processing_delay
+    // (1 ms) out; the broker is gone before it fires.
+    Event event;
+    event.topic = "news/sports";
+    brokers[0]->publish(event);
+    kernel.run_until(kernel.now() + 500 * kMicrosecond);
+    brokers[0].reset();
+    kernel.run_until(kernel.now() + kSecond);
+    EXPECT_EQ(probe.events, 0);
+}
+
 TEST_F(BrokerFixture, EventCodecRoundTrip) {
     Event event;
     event.id = Uuid::from_halves(3, 4);

@@ -1,4 +1,4 @@
-#include "common/hex.hpp"
+#include "support/hex.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hex.hpp"
 #include "common/rng.hpp"
+#include "support/hex.hpp"
 
 namespace narada::crypto {
 namespace {

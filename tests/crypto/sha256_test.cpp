@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hex.hpp"
+#include "support/hex.hpp"
 
 namespace narada::crypto {
 namespace {

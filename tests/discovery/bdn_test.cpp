@@ -123,6 +123,78 @@ TEST_F(BdnFixture, ReRegistrationUpdatesNotDuplicates) {
     EXPECT_EQ(bdn.registered_count(), 1u);
 }
 
+/// The endpoint map's size, as debug_snapshot() reports it.
+std::uint64_t endpoint_map_size(const Bdn& bdn) {
+    const std::string snapshot = bdn.debug_snapshot();
+    const std::string key = "\"endpoint_map_size\":";
+    const auto at = snapshot.find(key);
+    if (at == std::string::npos) return ~std::uint64_t{0};
+    return std::stoull(snapshot.substr(at + key.size()));
+}
+
+TEST_F(BdnFixture, ReAdvertisingFromNewEndpointsKeepsOneMapping) {
+    Bdn bdn = make_bdn();
+    BrokerAdvertisement ad = brokers[0]->advertisement(rng);
+    for (std::uint16_t port = 1; port <= 10000; ++port) {
+        ad.endpoint = Endpoint{broker_hosts[0], port};
+        bdn.register_broker(ad);
+    }
+    EXPECT_EQ(bdn.registered_count(), 1u);
+    EXPECT_EQ(endpoint_map_size(bdn), 1u);
+}
+
+TEST_F(BdnFixture, PongFromAbandonedEndpointLeavesRttUnchanged) {
+    Bdn bdn = make_bdn();
+    BrokerAdvertisement ad = brokers[0]->advertisement(rng);
+    const Endpoint old_endpoint = ad.endpoint;
+    bdn.register_broker(ad);
+    bdn.start();
+    kernel.run_until(kernel.now() + kSecond);  // first ping answered: 10 ms
+    const DurationUs measured = bdn.registry().at(0).rtt;
+    ASSERT_GE(measured, 0);
+
+    ad.endpoint = Endpoint{broker_hosts[2], 7000};  // the broker moved
+    bdn.register_broker(ad);
+    const auto forge_pong = [&](const Endpoint& from) {
+        wire::ByteWriter w;
+        w.u8(wire::kMsgPong);
+        w.i64(net.host_clock(bdn_host).now());  // claims a one-way-delay RTT
+        w.i64(0);
+        net.send_datagram(from, bdn.endpoint(), w.take());
+        kernel.run_until(kernel.now() + kSecond);
+    };
+    forge_pong(old_endpoint);
+    EXPECT_EQ(bdn.registry().at(0).rtt, measured);
+    forge_pong(ad.endpoint);  // the current endpoint still measures
+    EXPECT_NE(bdn.registry().at(0).rtt, measured);
+    EXPECT_EQ(endpoint_map_size(bdn), 1u);
+}
+
+TEST_F(BdnFixture, SweepKeepsSharedEndpointMappingOfSurvivor) {
+    config::BdnConfig cfg;
+    cfg.ad_lease = from_ms(2000);
+    cfg.ping_refresh_interval = from_ms(500);
+    Bdn bdn = make_bdn(cfg);
+    bdn.start();
+    // Two ids on one endpoint; the later ad owns the mapping.
+    const BrokerAdvertisement first = brokers[0]->advertisement(rng);
+    bdn.register_broker(first);
+    kernel.run_until(kernel.now() + from_ms(1200));
+    const BrokerAdvertisement second = brokers[0]->advertisement(rng);
+    bdn.register_broker(second);
+    kernel.run_until(kernel.now() + from_ms(1400));  // first's lease lapsed
+    ASSERT_EQ(bdn.registered_count(), 1u);
+    EXPECT_EQ(endpoint_map_size(bdn), 1u);
+
+    // The survivor's refresh pongs still find it.
+    const TimeUs swept_at = net.host_clock(bdn_host).now();
+    kernel.run_until(kernel.now() + from_ms(500));  // one more refresh round
+    const auto registry = bdn.registry();
+    ASSERT_EQ(registry.size(), 1u);
+    EXPECT_EQ(registry[0].ad.broker_id, second.broker_id);
+    EXPECT_GT(registry[0].last_pong, swept_at);
+}
+
 TEST_F(BdnFixture, RealmFilterIgnoresForeignAds) {
     // §2.3: "a BDN in the US may be interested only in broker additions in
     // North America".

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
 
 #include "scenario/scenario.hpp"
 
@@ -17,6 +21,28 @@ struct GridPoint {
     double window_ms;
     std::uint64_t seed;
 };
+
+// gtest_discover_tests appends the printed GetParam() to each ctest name,
+// and gtest's default dump of this struct includes the padding after
+// `topology`, which holds whatever the memory held. This prints the same
+// dump ("32-byte object <...>") built from the fields, the padding as
+// zeros, so the names keep their text and are the same on every listing.
+void PrintTo(const GridPoint& p, std::ostream* os) {
+    unsigned char bytes[sizeof(GridPoint)] = {};
+    std::memcpy(bytes + offsetof(GridPoint, topology), &p.topology, sizeof p.topology);
+    std::memcpy(bytes + offsetof(GridPoint, per_hop_loss), &p.per_hop_loss,
+                sizeof p.per_hop_loss);
+    std::memcpy(bytes + offsetof(GridPoint, window_ms), &p.window_ms, sizeof p.window_ms);
+    std::memcpy(bytes + offsetof(GridPoint, seed), &p.seed, sizeof p.seed);
+    *os << sizeof bytes << "-byte object <";
+    for (std::size_t i = 0; i < sizeof bytes; ++i) {
+        if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+        char hex[3];
+        std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+        *os << hex;
+    }
+    *os << '>';
+}
 
 std::string point_name(const ::testing::TestParamInfo<GridPoint>& info) {
     const GridPoint& p = info.param;

@@ -10,7 +10,9 @@
 //     -> borrowed DiscoveryRequestView -> verbatim re-encode into a pooled
 //     buffer -> send_datagram;
 //   * send_reliable: payload coalesced into the connection's output ring,
-//     pooled buffer recycled.
+//     pooled buffer recycled;
+//   * the RSA kernel under the handshake: a constant number of allocations
+//     per mod_pow, whatever the exponent's length.
 #include "transport/posix_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "crypto/bigint.hpp"
 #include "discovery/messages.hpp"
 #include "discovery/security.hpp"
 #include "transport/rudp_channel.hpp"
@@ -483,6 +486,29 @@ INSTANTIATE_TEST_SUITE_P(Modes, SecuredAllocFixture,
                                         ? "seal"
                                         : "sign";
                          });
+
+// The handshake's RSA kernel: mod_pow keeps its Montgomery operands in
+// fixed-size storage, so a 1024-bit exponentiation allocates only for its
+// constants, its reduced base and its result — the same count whatever the
+// exponent's length, none per product.
+TEST(ModPowAlloc, AllocationCountIsIndependentOfExponentLength) {
+    Rng rng(1024);
+    crypto::BigInt modulus = crypto::BigInt::random_bits(rng, 1024);
+    if (!modulus.is_odd()) modulus = modulus + crypto::BigInt(1);
+    const crypto::BigInt base = crypto::BigInt::random_below(rng, modulus);
+    const auto allocations = [&](std::size_t exponent_bits) {
+        const crypto::BigInt exponent = crypto::BigInt::random_bits(rng, exponent_bits);
+        const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+        const crypto::BigInt result = crypto::BigInt::mod_pow(base, exponent, modulus);
+        const std::uint64_t count = g_allocs.load(std::memory_order_relaxed) - before;
+        EXPECT_FALSE(result.is_zero());
+        return count;
+    };
+    const std::uint64_t short_exponent = allocations(17);
+    EXPECT_EQ(allocations(1024), short_exponent);
+    EXPECT_EQ(allocations(4096), short_exponent);
+    EXPECT_LE(short_exponent, 16u) << "allocations beyond the per-call constants";
+}
 
 // --- Sharded datapath --------------------------------------------------------
 //
