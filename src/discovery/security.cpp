@@ -199,7 +199,7 @@ bool SecurityContext::seal_datagram(std::span<const std::uint8_t> payload, std::
     const auto wrapped = crypto::rsa_encrypt(*peer_pub, key_bytes, rng_);
     if (!wrapped) {
         stats_.seal_refusals++;
-        return false;  // peer modulus too small to wrap a session key
+        return false;  // peer modulus too small to wrap a session key, or too large
     }
     const Bytes key_sig =
         crypto::rsa_sign(keys_.private_key, key_binding_bytes(key_bytes, identity_, peer));

@@ -107,6 +107,19 @@ TEST(Rsa, DecryptRejectsGarbage) {
     EXPECT_FALSE(out.has_value());
 }
 
+TEST(Rsa, PublicOperationsRefuseAModulusAboveTheKernelCap) {
+    // Public keys come from peers' certificates: a modulus the kernel cannot
+    // hold fails the operation instead of throwing out of mod_pow.
+    Rng rng(11);
+    BigInt n = BigInt::random_bits(rng, BigInt::kMaxModulusBits + 1);
+    if (!n.is_odd()) n = n + BigInt(1);
+    const RsaPublicKey key{n, BigInt(65537)};
+    const Bytes message = {1, 2, 3};
+    const Bytes signature = (n - BigInt(1)).to_bytes_be(key.modulus_bytes());
+    EXPECT_FALSE(rsa_verify(key, message, signature));
+    EXPECT_FALSE(rsa_encrypt(key, message, rng).has_value());
+}
+
 TEST(Certificate, SelfSignedVerifies) {
     const RsaKeyPair root_keys = test_keys(20);
     const Certificate root = make_self_signed("root-ca", root_keys, 0, 1'000'000, 1);

@@ -313,6 +313,38 @@ TEST_F(SecurityFixture, ForeignCaChainRejected) {
     EXPECT_GE(bob.stats().verify_failures, 1u);
 }
 
+TEST_F(SecurityFixture, OversizedModulusInChainRejected) {
+    // mallory's self-signed certificate carries an odd modulus one bit above
+    // the RSA kernel's cap. Chain validation checks its signature before it
+    // looks for a trusted root, so the handshake must fail there instead of
+    // throwing out of open_datagram.
+    ManualClock clock(0);
+    const auto cfg = make_config(config::SecurityConfig::Mode::kSign);
+    SecurityContext bob = make_context("bob", cfg, clock);
+
+    Rng mallory_rng(17);
+    crypto::BigInt n = crypto::BigInt::random_bits(mallory_rng,
+                                                   crypto::BigInt::kMaxModulusBits + 1);
+    if (!n.is_odd()) n = n + crypto::BigInt(1);
+    crypto::Certificate forged;
+    forged.subject = "mallory";
+    forged.issuer = "mallory";
+    forged.public_key = {n, crypto::BigInt(65537)};
+    forged.valid_from = kCertFrom;
+    forged.valid_to = kCertTo;
+    forged.serial = 99;
+    forged.signature = (n - crypto::BigInt(1)).to_bytes_be(forged.public_key.modulus_bytes());
+    SecurityContext mallory("mallory", crypto::rsa_generate(mallory_rng, 512), {forged},
+                            {root}, cfg, clock, mallory_rng);
+    mallory.add_peer_key("bob", keys_by_name["bob"]);
+
+    wire::ByteWriter out;
+    ASSERT_TRUE(mallory.seal_datagram(as_span(make_payload()), "bob", out));
+    const Bytes datagram = out.take();
+    EXPECT_EQ(open_frame(bob, datagram).error, EnvelopeError::kBadCertChain);
+    EXPECT_EQ(bob.add_peer_chain({forged}), crypto::CertStatus::kBadSignature);
+}
+
 TEST_F(SecurityFixture, StolenChainWithoutKeyFailsBinding) {
     // mallory replays alice's (public) certificate chain but signs the key
     // binding with her own key: the chain verifies, the binding must not.
