@@ -180,8 +180,8 @@ PathSample caller_spray(int spray_ms, const std::function<std::uint64_t()>& rece
 
 // --- Legacy datapath (the seed's transport, reproduced in-bench) ---------
 //
-// Both sides of the comparison run the realsock testbed's process shape:
-// kEndpoints bound endpoints (each a UDP socket plus a TCP listener, as
+// Both sides of the comparison run a loopback discovery plane's process
+// shape: kEndpoints bound endpoints (each a UDP socket plus a TCP listener, as
 // the transport always creates), traffic flowing between two of them. The
 // seed's loop pays for every binding on every iteration — it rebuilds the
 // pollfd/kind/owner vectors from the binding and connection maps under the
@@ -189,7 +189,7 @@ PathSample caller_spray(int spray_ms, const std::function<std::uint64_t()>& rece
 // precisely the O(sockets) tax the epoll reactor's fd->handler table
 // removes.
 
-constexpr std::size_t kEndpoints = 8;  // bench_realsock: 5 brokers + BDN + client + NTP
+constexpr std::size_t kEndpoints = 8;  // 5 brokers + BDN + client + NTP
 
 struct LegacyBinding {
     Endpoint endpoint;

@@ -11,6 +11,21 @@
 #include "wire/msg_types.hpp"
 
 namespace narada::discovery {
+namespace {
+
+/// A registry push: type octet, entry count, entries.
+Bytes encode_registry_sync(const std::vector<RegistrySyncEntry>& entries) {
+    std::size_t body = 1 + 4;
+    for (const RegistrySyncEntry& e : entries) body += e.measured_size();
+    wire::ByteWriter writer;
+    writer.reserve(body);
+    writer.u8(wire::kMsgBdnRegistrySync2);
+    writer.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const RegistrySyncEntry& e : entries) e.encode(writer);
+    return writer.take();
+}
+
+}  // namespace
 
 Bdn::Bdn(Scheduler& scheduler, transport::Transport& transport, const Endpoint& local,
          const Clock& local_clock, config::BdnConfig config, std::string name)
@@ -79,7 +94,7 @@ void Bdn::attach_to_broker(const Endpoint& broker, const Endpoint& client_endpoi
         if (event.topic != broker::kBrokerAdvertisementTopic) return;
         try {
             wire::ByteReader reader(event.payload);
-            handle_advertisement(BrokerAdvertisement::decode(reader));
+            handle_advertisement(BrokerAdvertisementView::peek(reader));
         } catch (const wire::WireError& e) {
             NARADA_DEBUG("bdn", "{}: bad advertisement event: {}", name_, e.what());
         }
@@ -97,7 +112,14 @@ void Bdn::announce_to(const Endpoint& broker) {
     transport_.send_datagram(local_, broker, writer.take());
 }
 
-void Bdn::register_broker(BrokerAdvertisement ad) { handle_advertisement(ad); }
+void Bdn::register_broker(BrokerAdvertisement ad) {
+    wire::ByteWriter writer;
+    writer.reserve(ad.measured_size());
+    ad.encode(writer);
+    const Bytes raw = writer.take();
+    wire::ByteReader reader(raw);
+    handle_advertisement(BrokerAdvertisementView::peek(reader));
+}
 
 transport::RudpChannel& Bdn::rudp_channel(const Endpoint& peer) {
     auto it = rudp_channels_.find(peer);
@@ -113,6 +135,19 @@ transport::RudpChannel& Bdn::rudp_channel(const Endpoint& peer) {
         it = rudp_channels_.emplace(peer, std::move(channel)).first;
     }
     return *it->second;
+}
+
+transport::RudpChannel& Bdn::push_lane(const Endpoint& peer) {
+    transport::RudpChannel& channel = rudp_channel(peer);
+    if (channel.state() == transport::RudpChannel::State::kAbandoned) {
+        // The lane gave up on this peer (dead long enough to abandon); a
+        // push is exactly the moment to try a fresh start. The peer may
+        // have restarted empty — forget what it held so the next periodic
+        // push is unconditional.
+        channel.reset();
+        last_push_digest_.erase(peer);
+    }
+    return channel;
 }
 
 const transport::RudpChannel* Bdn::sync_channel(const Endpoint& peer) const {
@@ -138,15 +173,7 @@ void Bdn::sync_registry() {
 
     for (const Endpoint& peer : config_.sync_peers) {
         if (peer == local_) continue;
-        transport::RudpChannel& channel = rudp_channel(peer);
-        if (channel.state() == transport::RudpChannel::State::kAbandoned) {
-            // The lane gave up on this peer (dead long enough to abandon);
-            // a periodic push is exactly the moment to try a fresh start.
-            // The peer may have restarted empty — forget what it held so
-            // the next push is unconditional.
-            channel.reset();
-            last_push_digest_.erase(peer);
-        }
+        transport::RudpChannel& channel = push_lane(peer);
         const auto digest_it = last_push_digest_.find(peer);
         if (digest_it != last_push_digest_.end() && digest_it->second == snapshot_digest) {
             ++stats_.sync_skipped_unchanged;
@@ -161,17 +188,10 @@ void Bdn::sync_registry() {
             for (const auto& [id, rb] : registry_) {
                 // An expired entry awaiting the sweep must not travel: the
                 // receiver's merge would drop it anyway (<= 0 remaining).
-                if (rb.lease_expires_at > 0 && now >= rb.lease_expires_at) continue;
+                if (rb.lease_lapsed(now)) continue;
                 entries.push_back(make_sync_entry(rb));
             }
-            std::size_t body = 1 + 4;
-            for (const RegistrySyncEntry& e : entries) body += e.measured_size();
-            wire::ByteWriter writer;
-            writer.reserve(body);
-            writer.u8(wire::kMsgBdnRegistrySync2);
-            writer.u32(static_cast<std::uint32_t>(entries.size()));
-            for (const RegistrySyncEntry& e : entries) e.encode(writer);
-            snapshot = writer.take();
+            snapshot = encode_registry_sync(entries);
         }
         if (channel.send_bulk(snapshot)) {
             ++stats_.sync_pushes;
@@ -197,7 +217,7 @@ std::pair<std::uint64_t, std::uint32_t> Bdn::registry_digest(const Endpoint* pee
     std::uint64_t fold = 0;
     std::uint32_t count = 0;
     for (const auto& [id, rb] : registry_) {
-        if (rb.lease_expires_at > 0 && now >= rb.lease_expires_at) continue;
+        if (rb.lease_lapsed(now)) continue;
         if (peer != nullptr && (!ring_.owns(local_, id) || !ring_.owns(*peer, id))) continue;
         fold ^= mix64(id.hi() ^ mix64(id.lo() ^ mix64(rb.origin ^ mix64(rb.version))));
         ++count;
@@ -206,19 +226,7 @@ std::pair<std::uint64_t, std::uint32_t> Bdn::registry_digest(const Endpoint* pee
 }
 
 bool Bdn::push_entries(const Endpoint& peer, const std::vector<RegistrySyncEntry>& entries) {
-    std::size_t body = 1 + 4;
-    for (const RegistrySyncEntry& e : entries) body += e.measured_size();
-    wire::ByteWriter writer;
-    writer.reserve(body);
-    writer.u8(wire::kMsgBdnRegistrySync2);
-    writer.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const RegistrySyncEntry& e : entries) e.encode(writer);
-    transport::RudpChannel& channel = rudp_channel(peer);
-    if (channel.state() == transport::RudpChannel::State::kAbandoned) {
-        channel.reset();
-        last_push_digest_.erase(peer);
-    }
-    if (channel.send_bulk(writer.take())) {
+    if (push_lane(peer).send_bulk(encode_registry_sync(entries))) {
         ++stats_.sync_pushes;
         return true;
     }
@@ -230,34 +238,17 @@ void Bdn::handle_bulk_payload(const Endpoint& peer, const Bytes& payload) {
     try {
         wire::ByteReader reader(payload);
         const std::uint8_t type = reader.u8();
-        if (type == wire::kMsgBdnRegistrySync2) {
-            const std::uint32_t count = reader.u32();
-            ++stats_.sync_received;
-            for (std::uint32_t i = 0; i < count; ++i) {
-                merge_entry(RegistrySyncEntry::decode(reader));
-            }
-            NARADA_DEBUG("bdn", "{}: registry sync v2 from {}: {} entries", name_,
-                         peer.str(), count);
-            return;
-        }
-        if (type != wire::kMsgBdnRegistrySync) {
+        if (type != wire::kMsgBdnRegistrySync2) {
             NARADA_DEBUG("bdn", "{}: unexpected bulk payload type {} from {}", name_,
                          static_cast<int>(type), peer.str());
             return;
         }
-        // v1 (legacy peers): bare advertisements, no lease or version
-        // context — treated exactly like direct advertisements.
         const std::uint32_t count = reader.u32();
         ++stats_.sync_received;
         for (std::uint32_t i = 0; i < count; ++i) {
-            const BrokerAdvertisement ad = BrokerAdvertisement::decode(reader);
-            const bool fresh = !registry_.contains(ad.broker_id);
-            // Same path as a direct advertisement: realm filter, lease
-            // renewal, newcomer ping.
-            handle_advertisement(ad);
-            if (fresh && registry_.contains(ad.broker_id)) ++stats_.sync_brokers_learned;
+            merge_entry(RegistrySyncEntry::decode(reader));
         }
-        NARADA_DEBUG("bdn", "{}: registry sync from {}: {} brokers", name_, peer.str(), count);
+        NARADA_DEBUG("bdn", "{}: registry sync from {}: {} entries", name_, peer.str(), count);
     } catch (const wire::WireError& e) {
         NARADA_DEBUG("bdn", "{}: bad registry sync from {}: {}", name_, peer.str(), e.what());
     }
@@ -301,15 +292,7 @@ void Bdn::merge_entry(const RegistrySyncEntry& entry) {
         endpoint_to_broker_[entry.ad.endpoint] = entry.ad.broker_id;
         ++stats_.sync_brokers_learned;
         // Measure the newcomer immediately, as with a direct ad.
-        if (started_) {
-            ++stats_.pings_sent;
-            if (inst_.pings) inst_.pings->inc();
-            wire::ByteWriter writer(transport_.acquire_buffer());
-            writer.reserve(1 + 8);
-            writer.u8(wire::kMsgPing);
-            writer.i64(local_clock_.now());
-            transport_.send_datagram(local_, entry.ad.endpoint, writer.take());
-        }
+        if (started_) send_ping(entry.ad.endpoint);
         return;
     }
     RegisteredBroker& rb = it->second;
@@ -459,7 +442,7 @@ std::size_t Bdn::stale_count() const {
     const TimeUs now = local_clock_.now();
     std::size_t stale = 0;
     for (const auto& [id, rb] : registry_) {
-        if (rb.lease_expires_at > 0 && now >= rb.lease_expires_at) ++stale;
+        if (rb.lease_lapsed(now)) ++stale;
     }
     return stale;
 }
@@ -503,15 +486,21 @@ void Bdn::on_datagram(const Endpoint& from, const Bytes& data) {
                 handle_pong(from, reader);
                 return;
             case wire::kMsgAdForward: {
-                // A peer relayed an advertisement it doesn't own. Never
-                // re-forwarded (the sender already resolved ownership), so
-                // relays cannot loop even across ring epochs.
+                // A ring peer relayed an advertisement it doesn't own. A
+                // BDN without a ring has no peers, so a relay there comes
+                // from nobody it trusts: it would skip authenticate_ads.
+                if (!federated()) {
+                    ++stats_.forwards_dropped;
+                    return;
+                }
+                // Never re-forwarded (the sender already resolved
+                // ownership), so relays cannot loop even across ring epochs.
                 const BrokerAdvertisementView view = BrokerAdvertisementView::peek(reader);
                 if (!realm_accepted(view.realm)) {
                     ++stats_.ads_filtered;
                     return;
                 }
-                if (federated() && !ring_.owns(local_, view.broker_id)) {
+                if (!ring_.owns(local_, view.broker_id)) {
                     ++stats_.forwards_dropped;  // sender held a stale ring
                     return;
                 }
@@ -602,26 +591,6 @@ bool Bdn::realm_accepted(std::string_view realm) const {
                config_.accepted_realms.end();
 }
 
-void Bdn::handle_advertisement(const BrokerAdvertisement& ad) {
-    ++stats_.ads_received;
-    if (inst_.ads) inst_.ads->inc();
-    if (!realm_accepted(ad.realm)) {
-        ++stats_.ads_filtered;
-        return;
-    }
-    if (federated() && !ring_.owns(local_, ad.broker_id)) {
-        // Owned entry point (pub/sub attachment, register_broker): encode
-        // once, then relay to the owning shards.
-        wire::ByteWriter writer;
-        writer.reserve(ad.measured_size());
-        ad.encode(writer);
-        const Bytes raw = writer.take();
-        forward_ad(ad.broker_id, std::span<const std::uint8_t>(raw.data(), raw.size()));
-        return;
-    }
-    register_advertisement(ad);
-}
-
 void Bdn::handle_advertisement(const BrokerAdvertisementView& view) {
     ++stats_.ads_received;
     if (inst_.ads) inst_.ads->inc();
@@ -676,15 +645,7 @@ void Bdn::register_advertisement(const BrokerAdvertisement& ad) {
     }
     endpoint_to_broker_[ad.endpoint] = ad.broker_id;
     // Measure the newcomer immediately so the injection strategy can use it.
-    if (!known && started_) {
-        ++stats_.pings_sent;
-        if (inst_.pings) inst_.pings->inc();
-        wire::ByteWriter writer(transport_.acquire_buffer());
-        writer.reserve(1 + 8);
-        writer.u8(wire::kMsgPing);
-        writer.i64(local_clock_.now());
-        transport_.send_datagram(local_, ad.endpoint, writer.take());
-    }
+    if (!known && started_) send_ping(ad.endpoint);
 }
 
 void Bdn::unmap_endpoint(const Endpoint& endpoint, const Uuid& id) {
@@ -696,162 +657,74 @@ void Bdn::handle_request(const Endpoint& from, const DiscoveryRequestView& view)
     ++stats_.requests_received;
     if (inst_.requests) inst_.requests->inc();
 
-    // Sampled requests take the owned slow path: the span rewrite mutates
-    // the trace parent, which forces a re-encode anyway.
-    if (tracing() && view.trace.sampled()) {
-        handle_request(from, view.materialize());
-        return;
+    // A sampled request opens the BDN's span at receipt — the moment the
+    // client's span hands over — and carries it as its trace parent from
+    // here on, so the queue wait and the injection nest under it.
+    obs::TraceContext trace = view.trace;
+    std::uint64_t span = 0;
+    if (tracing() && trace.sampled()) {
+        span = spans_->begin(trace.trace_id, trace.parent_span, "bdn.request", name_, span_now());
+        if (span != 0) trace.parent_span = span;
     }
-
-    // Credential policy on the borrowed view — a rejected, shed or
-    // duplicate request never touches the heap.
-    if (!config_.required_credential.empty() &&
-        view.credential != config_.required_credential) {
-        ++stats_.credential_rejections;
-        return;
-    }
-
-    if (config_.ingest_queue_limit > 0) {
-        admit_request(from, view);
-        return;
-    }
-
-    // Legacy inline path: unbounded, serviced as fast as they arrive.
-    send_ack(view.request_id, view.reply_to);
-    if (!seen_requests_.insert(view.request_id)) {
-        ++stats_.duplicate_requests;
-        if (inst_.duplicates) inst_.duplicates->inc();
-        return;
-    }
-    if (federated()) {
-        // Frame the borrowed region once; the gather owns it from here
-        // (candidate collection outlives the receive buffer).
-        wire::ByteWriter writer(transport_.acquire_buffer());
-        writer.reserve(1 + view.raw.size());
-        writer.u8(wire::kMsgDiscoveryRequest);
-        writer.raw(view.raw.data(), view.raw.size());
-        start_gather(view.request_id, std::make_shared<const Bytes>(writer.take()));
-        return;
-    }
-    inject_raw(view.raw, injection_targets());
-}
-
-void Bdn::handle_request(const Endpoint& from, DiscoveryRequest request) {
-    // A sampled request opens the BDN's span immediately — receipt is the
-    // moment the client's span hands over — and the trace parent is
-    // rewritten so everything downstream (queue wait, injection) nests
-    // under it. (Receipt was already counted by the view entry point.)
-    std::uint64_t request_span = 0;
-    if (tracing() && request.trace.sampled()) {
-        request_span = spans_->begin(request.trace.trace_id, request.trace.parent_span,
-                                     "bdn.request", name_, span_now());
-        if (request_span != 0) request.trace.parent_span = request_span;
-    }
+    const auto end_span = [this, span] {
+        if (span != 0) spans_->end(span, span_now());
+    };
 
     // Private BDNs "must also require the presentation of appropriate
     // credentials before [deciding] whether [to] disseminate the broker
     // discovery request" (§2.4).
     if (!config_.required_credential.empty() &&
-        request.credential != config_.required_credential) {
+        view.credential != config_.required_credential) {
         ++stats_.credential_rejections;
-        if (request_span != 0) spans_->end(request_span, span_now());
+        end_span();
         return;
     }
-
-    if (config_.ingest_queue_limit > 0) {
-        admit_request(from, std::move(request), request_span);
-        return;
-    }
-
-    // Legacy inline path: unbounded, serviced as fast as they arrive.
-    send_ack(request.request_id, request.reply_to);
 
     // "Multiple requests forwarded to the same BDN would be idempotent"
-    // (§3): only the first copy is disseminated.
-    if (!seen_requests_.insert(request.request_id)) {
-        ++stats_.duplicate_requests;
-        if (inst_.duplicates) inst_.duplicates->inc();
-        if (request_span != 0) spans_->end(request_span, span_now());
-        return;
-    }
-    if (federated()) {
-        start_gather(request.request_id, frame_request(request));
-    } else {
-        inject(request, injection_targets());
-    }
-    if (request_span != 0) spans_->end(request_span, span_now());
-}
-
-std::shared_ptr<const Bytes> Bdn::frame_request(const DiscoveryRequest& request) {
-    wire::ByteWriter writer(transport_.acquire_buffer());
-    writer.reserve(1 + request.measured_size());
-    writer.u8(wire::kMsgDiscoveryRequest);
-    request.encode(writer);
-    return std::make_shared<const Bytes>(writer.take());
-}
-
-void Bdn::admit_request(const Endpoint& from, const DiscoveryRequestView& view) {
-    // View twin of the owned admission path below: every shed decision
-    // (duplicate, over-quota, overflow) runs on borrowed data; only an
-    // actually-admitted request is materialized into the queue.
+    // (§3): only the first copy is disseminated. Duplicates cost nothing
+    // and are still acked, so a requester whose ack was lost learns we are
+    // alive.
     if (seen_requests_.contains(view.request_id)) {
         ++stats_.duplicate_requests;
         if (inst_.duplicates) inst_.duplicates->inc();
         send_ack(view.request_id, view.reply_to);
+        end_span();
         return;
     }
-
-    if (config_.per_source_rate > 0.0) {
-        if (source_buckets_.size() >= kMaxTrackedSources &&
-            !source_buckets_.contains(from.host)) {
-            source_buckets_.clear();
-        }
-        auto [it, inserted] = source_buckets_.try_emplace(
-            from.host, config_.per_source_rate, config_.per_source_burst);
-        if (!it->second.try_consume(local_clock_.now())) {
-            ++stats_.requests_shed_quota;
-            if (inst_.shed_quota) inst_.shed_quota->inc();
-            NARADA_DEBUG("bdn", "{}: shed request {} from host {} (over quota)", name_,
-                         view.request_id.str(), from.host);
-            return;
-        }
-    }
-
-    if (ingest_queue_.size() >= config_.ingest_queue_limit) {
-        ++stats_.requests_shed_overflow;
-        if (inst_.shed_overflow) inst_.shed_overflow->inc();
-        NARADA_DEBUG("bdn", "{}: shed request {} from host {} (queue full at {})", name_,
-                     view.request_id.str(), from.host, ingest_queue_.size());
+    const bool queued = config_.ingest_queue_limit > 0;
+    if (queued && shed_request(from, view.request_id)) {
+        end_span();
         return;
     }
 
     send_ack(view.request_id, view.reply_to);
     seen_requests_.insert(view.request_id);
-    ingest_queue_.push_back({view.materialize(), 0});
+    // Framed once: the queue, the gather or the spaced sends own the bytes
+    // from here on (they outlive the receive buffer). An unsampled request
+    // keeps its own trace parent, so its bytes go out verbatim.
+    AdmittedRequest request{view.request_id, trace, frame(view.raw, trace.parent_span), span};
+    if (!queued) {
+        // Legacy inline path: unbounded, serviced as fast as they arrive.
+        dispatch(std::move(request));
+        return;
+    }
+    ingest_queue_.push_back(std::move(request));
     stats_.queue_depth_peak = std::max<std::uint64_t>(stats_.queue_depth_peak,
                                                       ingest_queue_.size());
     if (inst_.queue_depth) inst_.queue_depth->set(static_cast<double>(ingest_queue_.size()));
     if (drain_timer_ == kInvalidTimerHandle) {
+        // First element: service it after one service interval, modeling
+        // the BDN's per-request processing cost.
         drain_timer_ =
             scheduler_.schedule(config_.request_service_cost, [this] { drain_queue(); });
     }
 }
 
-void Bdn::admit_request(const Endpoint& from, DiscoveryRequest request,
-                        std::uint64_t request_span) {
-    // Shed order per policy: duplicates first (they cost nothing and are
-    // still acked so a requester whose ack was lost learns we are alive),
-    // then over-quota sources, then queue overflow. Advertisement renewals
-    // never pass through here — handle_advertisement stays inline — so
-    // leases cannot expire because of a request storm.
-    if (seen_requests_.contains(request.request_id)) {
-        ++stats_.duplicate_requests;
-        if (inst_.duplicates) inst_.duplicates->inc();
-        send_ack(request.request_id, request.reply_to);
-        if (request_span != 0) spans_->end(request_span, span_now());
-        return;
-    }
-
+bool Bdn::shed_request(const Endpoint& from, const Uuid& request_id) {
+    // Shed order per policy: over-quota sources, then queue overflow
+    // (duplicates were filtered before). Advertisement renewals never pass
+    // through here — handle_advertisement stays inline — so leases cannot
+    // expire because of a request storm.
     if (config_.per_source_rate > 0.0) {
         if (source_buckets_.size() >= kMaxTrackedSources &&
             !source_buckets_.contains(from.host)) {
@@ -865,51 +738,68 @@ void Bdn::admit_request(const Endpoint& from, DiscoveryRequest request,
             ++stats_.requests_shed_quota;
             if (inst_.shed_quota) inst_.shed_quota->inc();
             NARADA_DEBUG("bdn", "{}: shed request {} from host {} (over quota)", name_,
-                         request.request_id.str(), from.host);
-            // No ack: the requester should fail over, not wait on us.
-            if (request_span != 0) spans_->end(request_span, span_now());
-            return;
+                         request_id.str(), from.host);
+            return true;
         }
     }
-
     if (ingest_queue_.size() >= config_.ingest_queue_limit) {
         ++stats_.requests_shed_overflow;
         if (inst_.shed_overflow) inst_.shed_overflow->inc();
         NARADA_DEBUG("bdn", "{}: shed request {} from host {} (queue full at {})", name_,
-                     request.request_id.str(), from.host, ingest_queue_.size());
-        if (request_span != 0) spans_->end(request_span, span_now());
-        return;
+                     request_id.str(), from.host, ingest_queue_.size());
+        return true;
     }
+    return false;
+}
 
-    send_ack(request.request_id, request.reply_to);
-    seen_requests_.insert(request.request_id);
-    ingest_queue_.push_back({std::move(request), request_span});
-    stats_.queue_depth_peak = std::max<std::uint64_t>(stats_.queue_depth_peak,
-                                                      ingest_queue_.size());
-    if (inst_.queue_depth) inst_.queue_depth->set(static_cast<double>(ingest_queue_.size()));
-    if (drain_timer_ == kInvalidTimerHandle) {
-        // First element: service it after one service interval, modeling
-        // the BDN's per-request processing cost.
-        drain_timer_ =
-            scheduler_.schedule(config_.request_service_cost, [this] { drain_queue(); });
+std::shared_ptr<const Bytes> Bdn::frame(std::span<const std::uint8_t> raw,
+                                        std::uint64_t parent_span) {
+    wire::ByteWriter writer(transport_.acquire_buffer());
+    writer.reserve(1 + raw.size());
+    writer.u8(wire::kMsgDiscoveryRequest);
+    copy_with_trace_parent(writer, raw, parent_span);
+    return std::make_shared<const Bytes>(writer.take());
+}
+
+void Bdn::dispatch(AdmittedRequest request) {
+    if (federated()) {
+        start_gather(request.request_id, std::move(request.framed));
+    } else {
+        const std::vector<Endpoint> targets = injection_targets();
+        // A sampled request gets a `bdn.inject` span covering the whole
+        // spaced fan-out; the injected copies carry it as their trace
+        // parent so broker-side spans nest under the injection.
+        std::uint64_t inject_span = 0;
+        if (tracing() && request.trace.sampled() && !targets.empty()) {
+            inject_span = spans_->begin(request.trace.trace_id, request.trace.parent_span,
+                                        "bdn.inject", name_, span_now());
+            if (inject_span != 0) {
+                request.framed = frame(
+                    std::span<const std::uint8_t>(*request.framed).subspan(1), inject_span);
+            }
+        }
+        inject(std::move(request.framed), targets);
+        if (inject_span != 0) {
+            const DurationUs last_send = std::max<DurationUs>(
+                0, static_cast<DurationUs>(targets.size() - 1) * config_.injection_spacing);
+            scheduler_.schedule(last_send, [spans = spans_, utc = utc_, inject_span] {
+                spans->end(inject_span, utc->utc_now());
+            });
+        }
     }
+    // The request span covers receipt, any queue wait and injection start.
+    if (request.span != 0 && spans_ != nullptr) spans_->end(request.span, span_now());
 }
 
 void Bdn::drain_queue() {
     drain_timer_ = kInvalidTimerHandle;
     if (ingest_queue_.empty()) return;
-    const QueuedRequest entry = ingest_queue_.front();
+    AdmittedRequest request = std::move(ingest_queue_.front());
     ingest_queue_.pop_front();
     if (inst_.queue_depth) inst_.queue_depth->set(static_cast<double>(ingest_queue_.size()));
     ++stats_.requests_serviced;
     if (inst_.serviced) inst_.serviced->inc();
-    if (federated()) {
-        start_gather(entry.request.request_id, frame_request(entry.request));
-    } else {
-        inject(entry.request, injection_targets());
-    }
-    // The request span covers receipt through queue wait to injection start.
-    if (entry.span != 0 && spans_ != nullptr) spans_->end(entry.span, span_now());
+    dispatch(std::move(request));
     if (!ingest_queue_.empty()) {
         drain_timer_ =
             scheduler_.schedule(config_.request_service_cost, [this] { drain_queue(); });
@@ -927,6 +817,16 @@ void Bdn::send_ack(const Uuid& request_id, const Endpoint& reply_to) {
     transport_.send_datagram(local_, reply_to, ack.take());
     ++stats_.acks_sent;
     if (inst_.acks) inst_.acks->inc();
+}
+
+void Bdn::send_ping(const Endpoint& broker) {
+    ++stats_.pings_sent;
+    if (inst_.pings) inst_.pings->inc();
+    wire::ByteWriter writer(transport_.acquire_buffer());
+    writer.reserve(1 + 8);
+    writer.u8(wire::kMsgPing);
+    writer.i64(local_clock_.now());
+    transport_.send_datagram(local_, broker, writer.take());
 }
 
 void Bdn::handle_pong(const Endpoint& from, wire::ByteReader& reader) {
@@ -947,7 +847,7 @@ std::vector<InjectionCandidate> Bdn::local_candidates() const {
     out.reserve(registry_.size());
     for (const auto& [id, rb] : registry_) {
         // Unswept expired entries never become injection points.
-        if (rb.lease_expires_at > 0 && now >= rb.lease_expires_at) continue;
+        if (rb.lease_lapsed(now)) continue;
         out.push_back({id, rb.ad.endpoint, rb.rtt});
     }
     return out;
@@ -962,8 +862,7 @@ void Bdn::start_gather(const Uuid& request_id, std::shared_ptr<const Bytes> fram
     // id falls back to local-only injection — worse selection quality, but
     // the request still propagates.
     if (gathers_.size() >= kMaxGathers || gathers_.contains(request_id)) {
-        inject_shared(std::move(framed),
-                      select_injection_targets(local_candidates(), config_.injection, rng_));
+        inject(std::move(framed), injection_targets());
         return;
     }
     ++stats_.gathers;
@@ -1001,9 +900,8 @@ void Bdn::finalize_gather(const Uuid& request_id, bool partial) {
     GatherState gather = std::move(it->second);
     gathers_.erase(it);
     if (!partial) scheduler_.cancel_timer(gather.timer);
-    inject_shared(std::move(gather.framed),
-                  select_injection_targets(std::move(gather.candidates), config_.injection,
-                                           rng_));
+    inject(std::move(gather.framed),
+           select_injection_targets(std::move(gather.candidates), config_.injection, rng_));
 }
 
 void Bdn::handle_shard_query(const Endpoint& from, const ShardQuery& query) {
@@ -1056,8 +954,7 @@ void Bdn::handle_shard_reply(const Endpoint& from, const ShardReply& reply) {
     if (gather.pending.empty()) finalize_gather(reply.query_id, /*partial=*/false);
 }
 
-void Bdn::inject_shared(std::shared_ptr<const Bytes> framed,
-                        const std::vector<Endpoint>& targets) {
+void Bdn::inject(std::shared_ptr<const Bytes> framed, const std::vector<Endpoint>& targets) {
     if (inst_.fanout) inst_.fanout->observe(static_cast<double>(targets.size()));
     // Injections are issued sequentially: each send costs the BDN its
     // per-injection processing time, so fanning out to N brokers takes
@@ -1075,51 +972,6 @@ void Bdn::inject_shared(std::shared_ptr<const Bytes> framed,
     }
 }
 
-void Bdn::inject(const DiscoveryRequest& request, const std::vector<Endpoint>& targets) {
-    // A sampled request gets a `bdn.inject` span covering the whole spaced
-    // fan-out; the forwarded copies carry it as their trace parent so
-    // broker-side spans nest under the injection.
-    const DiscoveryRequest* outgoing = &request;
-    DiscoveryRequest forwarded;
-    std::uint64_t inject_span = 0;
-    if (tracing() && request.trace.sampled() && !targets.empty()) {
-        inject_span = spans_->begin(request.trace.trace_id, request.trace.parent_span,
-                                    "bdn.inject", name_, span_now());
-        if (inject_span != 0) {
-            forwarded = request;
-            forwarded.trace.parent_span = inject_span;
-            outgoing = &forwarded;
-        }
-    }
-
-    wire::ByteWriter writer(transport_.acquire_buffer());
-    writer.reserve(1 + outgoing->measured_size());
-    writer.u8(wire::kMsgDiscoveryRequest);
-    outgoing->encode(writer);
-    // One shared encode for the whole fan-out; each spaced send copies it
-    // into a fresh (pooled) payload at send time.
-    inject_shared(std::make_shared<const Bytes>(writer.take()), targets);
-    if (inject_span != 0) {
-        const DurationUs last_send = std::max<DurationUs>(
-            0, static_cast<DurationUs>(targets.size() - 1) * config_.injection_spacing);
-        scheduler_.schedule(last_send, [spans = spans_, utc = utc_, inject_span] {
-            spans->end(inject_span, utc->utc_now());
-        });
-    }
-}
-
-void Bdn::inject_raw(std::span<const std::uint8_t> raw, const std::vector<Endpoint>& targets) {
-    // Unsampled fast path: nothing in the request was rewritten, so the
-    // borrowed message region is re-framed verbatim (type octet + bytes)
-    // into one pooled buffer shared by every spaced send — the decode ->
-    // mutate -> re-encode round trip disappears.
-    wire::ByteWriter writer(transport_.acquire_buffer());
-    writer.reserve(1 + raw.size());
-    writer.u8(wire::kMsgDiscoveryRequest);
-    writer.raw(raw.data(), raw.size());
-    inject_shared(std::make_shared<const Bytes>(writer.take()), targets);
-}
-
 void Bdn::set_peer_group(std::vector<Endpoint> members) {
     config_.peer_group = members;
     rebuild_ring(members);
@@ -1131,7 +983,7 @@ void Bdn::set_peer_group(std::vector<Endpoint> members) {
     const TimeUs now = local_clock_.now();
     std::map<Endpoint, std::vector<RegistrySyncEntry>> batches;
     for (const auto& [id, rb] : registry_) {
-        if (rb.lease_expires_at > 0 && now >= rb.lease_expires_at) continue;
+        if (rb.lease_lapsed(now)) continue;
         for (const Endpoint& owner : ring_.owners(id)) {
             if (owner != local_) batches[owner].push_back(make_sync_entry(rb));
         }
@@ -1189,7 +1041,7 @@ void Bdn::handle_registry_digest(const Endpoint& from, const RegistryDigest& dig
     const TimeUs now = local_clock_.now();
     std::vector<RegistrySyncEntry> entries;
     for (const auto& [id, rb] : registry_) {
-        if (rb.lease_expires_at > 0 && now >= rb.lease_expires_at) continue;
+        if (rb.lease_lapsed(now)) continue;
         if (!ring_.owns(local_, id) || !ring_.owns(from, id)) continue;
         entries.push_back(make_sync_entry(rb));
     }
@@ -1212,8 +1064,7 @@ void Bdn::refresh_distances() {
                 evict = true;
             }
         }
-        if (!evict && it->second.lease_expires_at > 0 &&
-            now >= it->second.lease_expires_at) {
+        if (!evict && it->second.lease_lapsed(now)) {
             ++stats_.leases_expired;
             if (inst_.leases_expired) inst_.leases_expired->inc();
             NARADA_DEBUG("bdn", "{}: advertisement lease of {} lapsed", name_,
@@ -1227,15 +1078,7 @@ void Bdn::refresh_distances() {
             ++it;
         }
     }
-    for (const auto& [id, rb] : registry_) {
-        ++stats_.pings_sent;
-        if (inst_.pings) inst_.pings->inc();
-        wire::ByteWriter writer(transport_.acquire_buffer());
-        writer.reserve(1 + 8);
-        writer.u8(wire::kMsgPing);
-        writer.i64(local_clock_.now());
-        transport_.send_datagram(local_, rb.ad.endpoint, writer.take());
-    }
+    for (const auto& [id, rb] : registry_) send_ping(rb.ad.endpoint);
     refresh_timer_ =
         scheduler_.schedule(config_.ping_refresh_interval, [this] { refresh_distances(); });
 }

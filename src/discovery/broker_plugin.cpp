@@ -193,29 +193,44 @@ void BrokerDiscoveryPlugin::process_request(const DiscoveryRequestView& view, bo
     ++stats_.requests_seen;
     if (inst_.seen) inst_.seen->inc();
 
-    // A sampled request needs its trace parent rewritten to this broker's
-    // span, which invalidates the borrowed bytes — hand it to the owned
-    // slow path.
-    if (spans_ != nullptr && view.trace.sampled()) {
-        process_request(view.materialize(), flooded);
-        return;
+    // A sampled request opens the broker-side span; its parent is whatever
+    // hop delivered the request (BDN injection or a peer broker's flood),
+    // so the recorded tree follows the actual propagation path. The span
+    // becomes the trace parent of the re-published request and of the
+    // response.
+    obs::TraceContext trace = view.trace;
+    std::uint64_t process_span = 0;
+    if (spans_ != nullptr && trace.sampled()) {
+        process_span = spans_->begin(trace.trace_id, trace.parent_span, "broker.process",
+                                     broker_->name(), broker_->utc().utc_now());
+        if (process_span != 0) trace.parent_span = process_span;
     }
+    const auto close_span = [this, process_span] {
+        if (process_span != 0) spans_->end(process_span, broker_->utc().utc_now());
+    };
 
     if (!seen_requests_.insert(view.request_id)) {
+        // "so that additional CPU/network cycles are not expended on
+        // previously processed requests" (§4).
         ++stats_.duplicates_suppressed;
         if (inst_.duplicates) inst_.duplicates->inc();
+        close_span();
         return;
     }
 
     if (!flooded) {
         // Re-publish on the reserved topic so the request floods the broker
-        // network. The borrowed message region is the exact encoding we
-        // would produce, so the flood payload is copied verbatim — no
-        // decode-encode round trip on the hot path.
+        // network. The event id *is* the request UUID, so the overlay's
+        // duplicate suppression and ours agree. The payload is the borrowed
+        // message region, its trace parent set to our span when sampled —
+        // no decode-encode round trip.
+        wire::ByteWriter payload;
+        payload.reserve(view.raw.size());
+        copy_with_trace_parent(payload, view.raw, trace.parent_span);
         broker::Event event;
         event.id = view.request_id;
         event.topic = std::string(broker::kDiscoveryRequestTopic);
-        event.payload.assign(view.raw.begin(), view.raw.end());
+        event.payload = payload.take();
         event.ttl = broker_->config().propagation_ttl;
         broker_->publish(std::move(event));
     }
@@ -223,6 +238,7 @@ void BrokerDiscoveryPlugin::process_request(const DiscoveryRequestView& view, bo
     if (!policy_admits(view.credential, view.realm)) {
         ++stats_.policy_rejections;
         if (inst_.rejections) inst_.rejections->inc();
+        close_span();
         return;
     }
 
@@ -236,75 +252,10 @@ void BrokerDiscoveryPlugin::process_request(const DiscoveryRequestView& view, bo
         last_shed_ = broker_->local_clock().now();
         NARADA_DEBUG("discovery", "{}: shed discovery request {} (over budget)",
                      broker_->name(), view.request_id.str());
-        return;
-    }
-    send_response(view.request_id, view.reply_to, view.trace);
-}
-
-void BrokerDiscoveryPlugin::process_request(DiscoveryRequest request, bool flooded) {
-    // Receipt was already counted by the view entry point.
-
-    // Open the broker-side span on a sampled request; the parent is
-    // whatever hop delivered the request (BDN injection or a peer
-    // broker's flood), so the recorded tree follows the actual
-    // propagation path.
-    std::uint64_t process_span = 0;
-    if (spans_ != nullptr && request.trace.sampled()) {
-        process_span =
-            spans_->begin(request.trace.trace_id, request.trace.parent_span,
-                          "broker.process", broker_->name(), broker_->utc().utc_now());
-        if (process_span != 0) request.trace.parent_span = process_span;
-    }
-    const auto close_span = [this, process_span] {
-        if (process_span != 0) spans_->end(process_span, broker_->utc().utc_now());
-    };
-
-    if (!seen_requests_.insert(request.request_id)) {
-        // "so that additional CPU/network cycles are not expended on
-        // previously processed requests" (§4).
-        ++stats_.duplicates_suppressed;
-        if (inst_.duplicates) inst_.duplicates->inc();
         close_span();
         return;
     }
-
-    if (!flooded) {
-        // Re-publish on the reserved topic so the request floods the
-        // broker network. The event id *is* the request UUID, so the
-        // overlay's duplicate suppression and ours agree. The trace parent
-        // was just rewritten, so this path must re-encode.
-        wire::ByteWriter payload;
-        payload.reserve(request.measured_size());
-        request.encode(payload);
-        broker::Event event;
-        event.id = request.request_id;
-        event.topic = std::string(broker::kDiscoveryRequestTopic);
-        event.payload = payload.take();
-        event.ttl = broker_->config().propagation_ttl;
-        broker_->publish(std::move(event));
-    }
-
-    if (!policy_admits(request.credential, request.realm)) {
-        ++stats_.policy_rejections;
-        if (inst_.rejections) inst_.rejections->inc();
-        close_span();
-        return;
-    }
-
-    // Load shedding: a broker under a request storm answers only what its
-    // discovery budget allows. The request has already flooded (above), so
-    // shedding here silences this broker without silencing the network.
-    if (response_budget_.limited() &&
-        !response_budget_.try_consume(broker_->local_clock().now())) {
-        ++stats_.requests_shed;
-        if (inst_.shed) inst_.shed->inc();
-        last_shed_ = broker_->local_clock().now();
-        NARADA_DEBUG("discovery", "{}: shed discovery request {} (over budget)",
-                     broker_->name(), request.request_id.str());
-        close_span();
-        return;
-    }
-    send_response(request.request_id, request.reply_to, request.trace);
+    send_response(view.request_id, view.reply_to, trace);
     close_span();
 }
 

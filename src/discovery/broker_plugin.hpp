@@ -103,16 +103,13 @@ public:
     [[nodiscard]] SecurityContext* security() const { return security_; }
 
 private:
-    /// Hot entry for every arrival path (`flooded` = arrived as an overlay
-    /// event, so it must not be re-published). Dedup, policy and shed
-    /// decisions run on the borrowed view; a fresh unsampled request is
-    /// re-published verbatim from the view's raw bytes (no re-encode).
+    /// The one request entry point, for every arrival path (`flooded` =
+    /// arrived as an overlay event, so it must not be re-published). A
+    /// sampled request opens the `broker.process` span, which becomes its
+    /// trace parent. Dedup, policy and shed decisions run once, on the
+    /// borrowed view; a fresh request is re-published from the view's raw
+    /// bytes — verbatim, or with the new trace parent when sampled.
     void process_request(const DiscoveryRequestView& view, bool flooded);
-    /// Owned slow path for sampled requests: the trace parent is rewritten
-    /// to this broker's span before re-publication / response, which is
-    /// what links the hop-by-hop span tree together (and forces the
-    /// re-encode the fast path avoids).
-    void process_request(DiscoveryRequest request, bool flooded);
 
     /// The broker's response policy (§5): credentials and realm checks.
     [[nodiscard]] bool policy_admits(std::string_view credential, std::string_view realm) const;

@@ -145,6 +145,18 @@ DiscoveryRequest DiscoveryRequestView::materialize() const {
     return DiscoveryRequest::decode(reader);
 }
 
+void copy_with_trace_parent(wire::ByteWriter& writer, std::span<const std::uint8_t> raw,
+                            std::uint64_t parent_span) {
+    // The trace context closes the request and its parent span closes the
+    // trace context (DiscoveryRequest::encode, TraceContext::encode).
+    constexpr std::size_t kParentSize = 8;
+    if (raw.size() < obs::TraceContext::kWireSize) {
+        throw wire::WireError("request region shorter than its trace context");
+    }
+    writer.raw(raw.data(), raw.size() - kParentSize);
+    writer.u64(parent_span);
+}
+
 void DiscoveryResponse::encode(wire::ByteWriter& writer) const {
     writer.uuid(request_id);
     writer.i64(sent_utc);

@@ -13,11 +13,13 @@
 //     reserve once (measure-then-encode, at most one allocation);
 //   * a borrowed View (peek()) — string fields become string_views into
 //     the receive buffer and the whole message region is captured as a raw
-//     span, so BDNs and brokers that only inspect-and-reforward a message
-//     (dedup, credential/realm policy, verbatim re-injection) touch the
-//     heap zero times. A View is valid only while the receive buffer
-//     lives; materialize() produces the owned struct when a component
-//     must retain or mutate the message (see DESIGN.md borrowing rules).
+//     span. BDNs and brokers only inspect and pass on a request (dedup,
+//     credential/realm policy, injection, flooding), so the view is their
+//     one decode path: they forward its raw bytes, and a sampled request's
+//     one edit, its trace parent, goes through copy_with_trace_parent().
+//     A View is valid only while the receive buffer lives; materialize()
+//     produces the owned struct when a component must retain the message
+//     (see DESIGN.md borrowing rules).
 #pragma once
 
 #include <span>
@@ -113,6 +115,13 @@ struct DiscoveryRequestView {
     static DiscoveryRequestView peek(wire::ByteReader& reader);
     [[nodiscard]] DiscoveryRequest materialize() const;
 };
+
+/// Append the encoded request region `raw` (a DiscoveryRequestView's raw
+/// bytes) to `writer` with its trace parent set to `parent_span`: the bytes
+/// materialize -> set trace.parent_span -> encode would give, copied rather
+/// than decoded. Passing the request's own parent copies it verbatim.
+void copy_with_trace_parent(wire::ByteWriter& writer, std::span<const std::uint8_t> raw,
+                            std::uint64_t parent_span);
 
 /// "(a) The current timestamp ... (b) The broker process information ...
 /// (c) Usage metric information" (§5.1).

@@ -34,8 +34,8 @@ constexpr std::uint8_t kMsgPong = 0x25;
 constexpr std::uint8_t kMsgBdnAdvertisement = 0x26;     ///< private BDN ad (§2.4)
 
 // --- BDN federation ----------------------------------------------------------
-constexpr std::uint8_t kMsgBdnRegistrySync = 0x27;   ///< bulk ad-registry push (RUDP payload)
-constexpr std::uint8_t kMsgBdnRegistrySync2 = 0x28;  ///< v2 push: leases + versions (RUDP payload)
+// 0x27 stays unassigned: it was a registry push without leases or versions.
+constexpr std::uint8_t kMsgBdnRegistrySync2 = 0x28;  ///< registry push: leases + versions (RUDP payload)
 constexpr std::uint8_t kMsgShardQuery = 0x29;        ///< gather: ask a shard for candidates
 constexpr std::uint8_t kMsgShardReply = 0x2A;        ///< gather: shard's candidate slice
 constexpr std::uint8_t kMsgAdForward = 0x2B;         ///< ad relayed to its ring owners

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace narada::discovery {
@@ -106,6 +108,64 @@ TEST(Messages, OversizedProtocolListRejected) {
     data[count_offset + 1] = 0xFF;
     wire::ByteReader r(data);
     EXPECT_THROW(DiscoveryRequest::decode(r), wire::WireError);
+}
+
+std::string random_text(Rng& rng, std::size_t max_len) {
+    std::string out(rng.next() % (max_len + 1), '\0');
+    for (char& c : out) c = static_cast<char>('a' + rng.next() % 26);
+    return out;
+}
+
+DiscoveryRequest random_request(Rng& rng) {
+    DiscoveryRequest req;
+    req.request_id = Uuid::random(rng);
+    req.requester_hostname = random_text(rng, 40);
+    req.reply_to = {static_cast<HostId>(rng.next()), static_cast<std::uint16_t>(rng.next())};
+    for (std::size_t i = rng.next() % 4; i > 0; --i) req.protocols.push_back(random_text(rng, 8));
+    req.credential = random_text(rng, 24);
+    req.realm = random_text(rng, 12);
+    if (rng.next() % 2 == 0) {
+        req.trace.trace_id = Uuid::random(rng);
+        req.trace.parent_span = rng.next();
+    }
+    return req;
+}
+
+TEST(Messages, TraceParentCopyMatchesReencode) {
+    Rng rng(8);
+    for (int i = 0; i < 500; ++i) {
+        const DiscoveryRequest req = random_request(rng);
+        wire::ByteWriter w;
+        req.encode(w);
+        const Bytes encoded = w.take();
+        wire::ByteReader r(encoded);
+        const DiscoveryRequestView view = DiscoveryRequestView::peek(r);
+
+        const std::uint64_t parent = i % 5 == 0 ? req.trace.parent_span : rng.next();
+        DiscoveryRequest edited = view.materialize();
+        edited.trace.parent_span = parent;
+        wire::ByteWriter reencoded;
+        edited.encode(reencoded);
+
+        wire::ByteWriter copied;
+        copied.u8(0x7f);  // the helper appends; a leading octet must survive
+        copy_with_trace_parent(copied, view.raw, parent);
+        const Bytes& expected = reencoded.bytes();
+        const Bytes& got = copied.bytes();
+        ASSERT_EQ(got.size(), expected.size() + 1) << "request " << i;
+        EXPECT_EQ(got[0], 0x7f);
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin() + 1))
+            << "request " << i;
+        if (parent == req.trace.parent_span) {
+            EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(), got.begin() + 1));
+        }
+    }
+}
+
+TEST(Messages, TraceParentCopyRejectsShortRegion) {
+    const Bytes short_region(obs::TraceContext::kWireSize - 1, 0);
+    wire::ByteWriter w;
+    EXPECT_THROW(copy_with_trace_parent(w, short_region, 1), wire::WireError);
 }
 
 TEST(Messages, TruncatedResponseThrows) {

@@ -527,6 +527,26 @@ TEST_F(SecuredBdnFixture, PlainAdRejectedWhenAuthenticationRequired) {
     EXPECT_EQ(bdn.stats().ads_rejected_unauthenticated, 1u);
 }
 
+TEST_F(SecuredBdnFixture, ForwardedAdRejectedOnMonolithicBdn) {
+    // Ad relays come only from ring peers, and a BDN without a ring has
+    // none: relabelling a plain ad as a forward must not get it past
+    // authenticate_ads.
+    auto sec_cfg = make_config(config::SecurityConfig::Mode::kSign);
+    sec_cfg.authenticate_ads = true;
+    SecurityContext bdn_sec =
+        make_context("bdn", sec_cfg, net.host_clock(bdn_host));
+
+    Bdn bdn(kernel, net, bdn_ep(), net.host_clock(bdn_host), {});
+    bdn.set_security(&bdn_sec);
+
+    Bytes forwarded = encode_ad(make_ad("broker-1"));
+    forwarded[0] = wire::kMsgAdForward;
+    deliver(forwarded);
+    EXPECT_EQ(bdn.registered_count(), 0u);
+    EXPECT_EQ(bdn.stats().forwards_received, 0u);
+    EXPECT_EQ(bdn.stats().forwards_dropped, 1u);
+}
+
 TEST_F(SecuredBdnFixture, SealedAdWithMatchingSubjectRegisters) {
     auto sec_cfg = make_config(config::SecurityConfig::Mode::kSign);
     sec_cfg.authenticate_ads = true;
