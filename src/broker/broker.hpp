@@ -171,7 +171,7 @@ private:
     void handle_event_flood(const Endpoint& from, wire::ByteReader& reader);
     void handle_ping(const Endpoint& from, wire::ByteReader& reader);
     void handle_interest(const Endpoint& from, wire::ByteReader& reader);
-    void handle_pong(const Endpoint& from);
+    void handle_pong(const Endpoint& from, wire::ByteReader& reader);
 
     /// Periodic peer-link liveness sweep: ping every established peer and
     /// shed links whose pongs stopped coming.

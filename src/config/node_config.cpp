@@ -142,8 +142,6 @@ BrokerConfig BrokerConfig::from_ini(const Ini& ini) {
     c.discovery_burst = ini.get_double("broker", "discovery_burst", c.discovery_burst);
     c.overload_hold =
         from_ms(ini.get_double("broker", "overload_hold_ms", to_ms(c.overload_hold)));
-    c.response_rudp_threshold = static_cast<std::uint32_t>(
-        ini.get_int("broker", "response_rudp_threshold", c.response_rudp_threshold));
     return c;
 }
 

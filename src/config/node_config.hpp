@@ -154,13 +154,8 @@ struct BrokerConfig {
     /// After shedding, responses advertise the overload flag for this long
     /// so requesters' scoring steers new clients elsewhere.
     DurationUs overload_hold = 2 * kSecond;
-
-    // --- reliable-UDP bulk lane ----------------------------------------------
-    /// Discovery responses whose encoded size exceeds this many bytes are
-    /// delivered over the RUDP bulk lane (fragmented, NAK-repaired)
-    /// instead of a single datagram. 0 keeps every response one lossy
-    /// datagram — the paper's §5.2 self-filtering default.
-    std::uint32_t response_rudp_threshold = 0;
+    // Responses always travel as one lossy UDP datagram each: distant
+    // brokers must be able to filter themselves out by loss (§5.2).
 
     static BrokerConfig from_ini(const Ini& ini);
 };

@@ -104,12 +104,8 @@ void Bdn::attach_to_broker(const Endpoint& broker, const Endpoint& client_endpoi
 }
 
 void Bdn::announce_to(const Endpoint& broker) {
-    wire::ByteWriter writer(transport_.acquire_buffer());
-    writer.reserve(1 + 4 + 2);
-    writer.u8(wire::kMsgBdnAdvertisement);
-    writer.u32(local_.host);
-    writer.u16(local_.port);
-    transport_.send_datagram(local_, broker, writer.take());
+    const BdnAnnouncement announcement{local_};
+    transport_.send_datagram(local_, broker, announcement.frame(transport_.acquire_buffer()));
 }
 
 void Bdn::register_broker(BrokerAdvertisement ad) {
@@ -822,22 +818,20 @@ void Bdn::send_ack(const Uuid& request_id, const Endpoint& reply_to) {
 void Bdn::send_ping(const Endpoint& broker) {
     ++stats_.pings_sent;
     if (inst_.pings) inst_.pings->inc();
-    wire::ByteWriter writer(transport_.acquire_buffer());
-    writer.reserve(1 + 8);
-    writer.u8(wire::kMsgPing);
-    writer.i64(local_clock_.now());
-    transport_.send_datagram(local_, broker, writer.take());
+    const Ping ping{local_clock_.now()};
+    transport_.send_datagram(local_, broker, ping.frame(transport_.acquire_buffer()));
 }
 
 void Bdn::handle_pong(const Endpoint& from, wire::ByteReader& reader) {
-    const TimeUs echoed = reader.i64();
+    const Pong pong = Pong::decode(reader);
+    // Both counters count every well-formed pong, mapped source or not.
     ++stats_.pongs_received;
+    if (inst_.pongs) inst_.pongs->inc();
     const auto it = endpoint_to_broker_.find(from);
     if (it == endpoint_to_broker_.end()) return;
-    if (inst_.pongs) inst_.pongs->inc();
     const auto rit = registry_.find(it->second);
     if (rit == registry_.end()) return;
-    rit->second.rtt = local_clock_.now() - echoed;
+    rit->second.rtt = local_clock_.now() - pong.echoed;
     rit->second.last_pong = local_clock_.now();
 }
 
@@ -876,14 +870,14 @@ void Bdn::start_gather(const Uuid& request_id, std::shared_ptr<const Bytes> fram
         finalize_gather(request_id, /*partial=*/false);
         return;
     }
-    ShardQuery query{request_id, local_, config_.shard_reply_limit};
+    const ShardQuery query{request_id, local_, config_.shard_reply_limit};
+    wire::ByteWriter writer(1 + query.measured_size());
+    writer.u8(wire::kMsgShardQuery);
+    query.encode(writer);
+    const Bytes& framed_query = writer.bytes();
     for (const Endpoint& member : gather.pending) {
         ++stats_.shard_queries_sent;
-        wire::ByteWriter writer(transport_.acquire_buffer());
-        writer.reserve(1 + query.measured_size());
-        writer.u8(wire::kMsgShardQuery);
-        query.encode(writer);
-        transport_.send_datagram(local_, member, writer.take());
+        transport_.send_datagram(local_, member, framed_query);
     }
     // Per-shard deadline: a dead or partitioned shard delays the request by
     // at most this long, then the gather finalizes with what arrived.

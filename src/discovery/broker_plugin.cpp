@@ -32,6 +32,13 @@ void BrokerDiscoveryPlugin::on_attach(broker::Broker& broker) {
     // Under subscription routing the responder must declare its interest
     // in the reserved request topic or flooded requests stop reaching it.
     broker.add_plugin_interest(std::string(broker::kDiscoveryRequestTopic));
+    // Nothing an advertisement carries changes once the broker is known,
+    // so every advertisement this plugin sends shares these bytes.
+    const BrokerAdvertisement ad = advertisement();
+    wire::ByteWriter writer(1 + ad.measured_size());
+    writer.u8(wire::kMsgBrokerAdvertisement);
+    ad.encode(writer);
+    framed_ad_ = writer.take();
 }
 
 void BrokerDiscoveryPlugin::on_start() {
@@ -67,49 +74,33 @@ BrokerAdvertisement BrokerDiscoveryPlugin::advertisement() const {
 
 void BrokerDiscoveryPlugin::advertise() {
     if (broker_ == nullptr) return;
-    const BrokerAdvertisement ad = advertisement();
-
     // Path 1: directly to the BDNs in the broker's configuration (§2.3).
     // Advertisements travel as datagrams — their loss is tolerated (§7).
-    for (const Endpoint& bdn : broker_->config().advertise_bdns) {
-        wire::ByteWriter writer(broker_->transport().acquire_buffer());
-        writer.reserve(1 + ad.measured_size());
-        writer.u8(wire::kMsgBrokerAdvertisement);
-        ad.encode(writer);
-        // Secured deployments seal the advertisement toward the BDN so it
-        // can authenticate who is advertising (§9.1, authenticate_ads).
-        // Loss tolerance carries over: a lost handshake is healed by the
-        // next periodic re-advertisement, which re-handshakes.
-        Bytes framed = writer.take();
-        if (security_ != nullptr && security_->config().enabled()) {
-            const std::string_view peer = security_->identity_at(bdn);
-            wire::ByteWriter sealed(broker_->transport().acquire_buffer());
-            if (!peer.empty() &&
-                security_->seal_datagram({framed.data(), framed.size()}, peer, sealed)) {
-                // Seal succeeded: the sealed frame replaces the plain one
-                // (which the transport recycles with the next acquire).
-                framed = sealed.take();
-                ++stats_.advertisements_sealed;
-            }
-            // else: no identity/key for this BDN — fall back to plain.
-        }
-        broker_->transport().send_datagram(broker_->endpoint(), bdn, std::move(framed));
-        ++stats_.advertisements_sent;
-        if (inst_.ads) inst_.ads->inc();
-    }
+    for (const Endpoint& bdn : broker_->config().advertise_bdns) send_advertisement(bdn);
 
-    // Path 2: on the public topic all BDNs subscribe to (§2.3).
+    // Path 2: on the public topic all BDNs subscribe to (§2.3). The event
+    // carries the advertisement without its type octet.
     if (broker_->config().advertise_on_topic) {
-        wire::ByteWriter payload;
-        payload.reserve(ad.measured_size());
-        ad.encode(payload);
         broker::Event event;
         event.topic = std::string(broker::kBrokerAdvertisementTopic);
-        event.payload = payload.take();
+        event.payload.assign(framed_ad_.begin() + 1, framed_ad_.end());
         broker_->publish(std::move(event));
         ++stats_.advertisements_sent;
         if (inst_.ads) inst_.ads->inc();
     }
+}
+
+void BrokerDiscoveryPlugin::send_advertisement(const Endpoint& bdn) {
+    // Secured deployments seal the advertisement toward any BDN whose
+    // identity is known, so it can authenticate who is advertising (§9.1,
+    // authenticate_ads). Loss tolerance carries over: a lost handshake is
+    // healed by the next periodic re-advertisement, which re-handshakes.
+    if (send_sealed_or_plain(security_, broker_->transport(), broker_->endpoint(), bdn,
+                             framed_ad_)) {
+        ++stats_.advertisements_sealed;
+    }
+    ++stats_.advertisements_sent;
+    if (inst_.ads) inst_.ads->inc();
 }
 
 bool BrokerDiscoveryPlugin::on_message(const Endpoint& from, std::uint8_t type,
@@ -149,30 +140,12 @@ bool BrokerDiscoveryPlugin::on_message(const Endpoint& from, std::uint8_t type,
             }
             return true;
         }
-        case wire::kMsgRudpData:
-        case wire::kMsgRudpAck: {
-            // Acks (and stray data) for a bulk response lane. Frames from
-            // endpoints we never opened a lane to are consumed and dropped —
-            // a response channel only exists because we sent to that peer.
-            const auto it = rudp_channels_.find(from);
-            if (it != rudp_channels_.end()) it->second->handle_frame(type, reader);
-            return true;
-        }
-        case wire::kMsgBdnAdvertisement: {
+        case wire::kMsgBdnAdvertisement:
             // A (private) BDN announced itself; brokers "may have the
             // option to re-advertise their information at this newly added
             // BDN" (§2.4).
-            const Endpoint bdn_endpoint{reader.u32(), reader.u16()};
-            const BrokerAdvertisement ad = advertisement();
-            wire::ByteWriter writer(broker_->transport().acquire_buffer());
-            writer.reserve(1 + ad.measured_size());
-            writer.u8(wire::kMsgBrokerAdvertisement);
-            ad.encode(writer);
-            broker_->transport().send_datagram(broker_->endpoint(), bdn_endpoint, writer.take());
-            ++stats_.advertisements_sent;
-            if (inst_.ads) inst_.ads->inc();
+            send_advertisement(BdnAnnouncement::decode(reader).bdn);
             return true;
-        }
         default:
             return false;
     }
@@ -302,66 +275,19 @@ void BrokerDiscoveryPlugin::send_response(const Uuid& request_id, const Endpoint
     response.trace = trace;
 
     // "The communication protocol used for transporting this response is
-    // UDP" — deliberately lossy so that distant brokers self-filter (§5.2).
+    // UDP" — one deliberately lossy datagram, so that distant brokers
+    // self-filter (§5.2).
     wire::ByteWriter writer(broker_->transport().acquire_buffer());
     writer.reserve(1 + response.measured_size());
     writer.u8(wire::kMsgDiscoveryResponse);
     response.encode(writer);
-    Bytes encoded = writer.take();
-
-    // A response too big for one MTU-ish datagram goes over the bulk lane:
-    // fragmented, NAK-repaired, paced. Small responses keep the paper's
-    // lossy single-datagram semantics.
-    const std::uint32_t threshold = broker_->config().response_rudp_threshold;
-    if (threshold > 0 && encoded.size() > threshold) {
-        if (transport::RudpChannel* lane = response_channel(reply_to)) {
-            if (lane->state() == transport::RudpChannel::State::kAbandoned) lane->reset();
-            if (lane->send_bulk(Bytes(encoded))) {
-                ++stats_.responses_sent;
-                ++stats_.responses_rudp;
-                if (inst_.responses) inst_.responses->inc();
-                return;
-            }
-        }
-        // No lane available (map saturated or channel refused): fall back
-        // to the lossy datagram rather than answering nothing.
-    }
-    broker_->transport().send_datagram(broker_->endpoint(), reply_to, std::move(encoded));
+    broker_->transport().send_datagram(broker_->endpoint(), reply_to, writer.take());
     ++stats_.responses_sent;
     if (inst_.responses) inst_.responses->inc();
 }
 
-transport::RudpChannel* BrokerDiscoveryPlugin::response_channel(const Endpoint& peer) {
-    auto it = rudp_channels_.find(peer);
-    if (it != rudp_channels_.end()) return it->second.get();
-    if (rudp_channels_.size() >= kMaxResponseChannels) {
-        // Evict a lane that is done (or given up); if every lane is
-        // mid-transfer the new requester falls back to a datagram.
-        auto victim = rudp_channels_.end();
-        for (auto i = rudp_channels_.begin(); i != rudp_channels_.end(); ++i) {
-            const transport::RudpChannel& lane = *i->second;
-            if (lane.state() == transport::RudpChannel::State::kAbandoned ||
-                (lane.in_flight() == 0 && lane.queued_segments() == 0)) {
-                victim = i;
-                break;
-            }
-        }
-        if (victim == rudp_channels_.end()) return nullptr;
-        rudp_channels_.erase(victim);
-    }
-    auto channel = std::make_unique<transport::RudpChannel>(
-        broker_->scheduler(), broker_->transport(), broker_->local_clock(),
-        broker_->endpoint(), peer, transport::RudpOptions{}, broker_->name() + "-resp");
-    if (metrics_ != nullptr) {
-        channel->set_observability(metrics_, broker_->name() + "->" + peer.str());
-    }
-    it = rudp_channels_.emplace(peer, std::move(channel)).first;
-    return it->second.get();
-}
-
 void BrokerDiscoveryPlugin::set_observability(obs::MetricsRegistry* metrics,
                                               obs::SpanRecorder* spans) {
-    metrics_ = metrics;
     spans_ = spans;
     inst_ = {};
     if (metrics == nullptr) return;
@@ -398,23 +324,11 @@ std::string BrokerDiscoveryPlugin::debug_snapshot() const {
         .field("policy_rejections", stats_.policy_rejections)
         .field("advertisements_sent", stats_.advertisements_sent)
         .field("requests_shed", stats_.requests_shed)
-        .field("responses_rudp", stats_.responses_rudp)
         .field("advertisements_sealed", stats_.advertisements_sealed)
         .field("secured_received", stats_.secured_received)
         .field("secure_open_failures", stats_.secure_open_failures)
+        .end_object()
         .end_object();
-    if (!rudp_channels_.empty()) {
-        w.key("response_lanes").begin_array();
-        for (const auto& [peer, lane] : rudp_channels_) {
-            w.begin_object()
-                .field("peer", peer.str())
-                .field("state", transport::to_string(lane->state()))
-                .field("in_flight", static_cast<std::uint64_t>(lane->in_flight()))
-                .end_object();
-        }
-        w.end_array();
-    }
-    w.end_object();
     return w.take();
 }
 

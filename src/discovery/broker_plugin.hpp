@@ -10,11 +10,16 @@
 //   * re-publish each fresh request on the reserved discovery topic so it
 //     floods the broker network (§10: "brokers also propagate discovery
 //     requests on a predefined topic");
-//   * respond over UDP to the requester's reply endpoint (§5.2).
+//   * respond over UDP to the requester's reply endpoint, one lossy
+//     datagram per response (§5.2).
+//
+// One send path per message: the advertisement is framed once. Its
+// datagram copies — to configured BDNs and in reply to a BDN announcement
+// — all leave through send_advertisement(), sealed whenever the BDN's
+// identity is known; the topic copy carries the same bytes without the
+// type octet.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,7 +30,6 @@
 #include "discovery/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "transport/rudp_channel.hpp"
 
 namespace narada::discovery {
 
@@ -53,9 +57,6 @@ public:
         /// (`discovery_rate_limit` knob); the request still floods so other
         /// brokers can answer, but this broker stays silent.
         std::uint64_t requests_shed = 0;
-        /// Responses that exceeded `response_rudp_threshold` and went out
-        /// over the reliable-UDP bulk lane instead of one lossy datagram.
-        std::uint64_t responses_rudp = 0;
 
         // --- secured datapath (set_security) ---------------------------------
         std::uint64_t advertisements_sealed = 0;  ///< ads sent inside envelopes
@@ -95,8 +96,9 @@ public:
     [[nodiscard]] std::string debug_snapshot() const;
 
     /// Attach the secured-datapath context (nullable = security off).
-    /// Directly-addressed advertisements are sealed toward any BDN whose
-    /// identity is mapped on the context, and kMsgSecureEnvelope datagrams
+    /// Directly-addressed advertisements — to configured BDNs and in reply
+    /// to a BDN announcement — are sealed toward any BDN whose identity is
+    /// mapped on the context, and kMsgSecureEnvelope datagrams
     /// (direct secured requests, §9.1) are opened and answered. Not owned;
     /// must outlive the plugin.
     void set_security(SecurityContext* security) { security_ = security; }
@@ -120,10 +122,9 @@ private:
     void send_response(const Uuid& request_id, const Endpoint& reply_to,
                        const obs::TraceContext& trace);
 
-    /// The bulk lane to `peer` for oversized responses, created on demand.
-    /// Null when the channel map is full of mid-transfer lanes — the caller
-    /// then falls back to a single (lossy) datagram.
-    transport::RudpChannel* response_channel(const Endpoint& peer);
+    /// The one datagram advertisement send: `framed_ad_` to `bdn`, sealed
+    /// when the security context knows the BDN's identity, plain otherwise.
+    void send_advertisement(const Endpoint& bdn);
 
     BrokerIdentity identity_;
     bool join_multicast_;
@@ -131,20 +132,14 @@ private:
     Scheduler* scheduler_ = nullptr;  ///< outlives the broker; used in dtor
     broker::DedupCache seen_requests_{1000};
     TimerHandle readvertise_timer_ = kInvalidTimerHandle;
+    Bytes framed_ad_;  ///< advertisement(), type octet first; framed at attach
     Stats stats_;
 
     // Load shedding (discovery_rate_limit > 0).
     TokenBucket response_budget_{0.0, 0.0};
     TimeUs last_shed_ = -1;  ///< -1 until the first shed
 
-    // Bulk lanes for oversized responses (response_rudp_threshold > 0),
-    // keyed by the requester's reply endpoint. Bounded: idle or abandoned
-    // lanes are evicted before a new requester gets one.
-    std::map<Endpoint, std::unique_ptr<transport::RudpChannel>> rudp_channels_;
-    static constexpr std::size_t kMaxResponseChannels = 32;
-
     // Observability (optional; null = off).
-    obs::MetricsRegistry* metrics_ = nullptr;  ///< kept for lazy RUDP lanes
     obs::SpanRecorder* spans_ = nullptr;
     SecurityContext* security_ = nullptr;      ///< secured datapath (null = off)
     struct Instruments {

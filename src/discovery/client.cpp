@@ -197,25 +197,7 @@ void DiscoveryClient::send_to_bdn(const Bytes& encoded) {
     ack_pending_ = true;
     const bool force = force_handshake_next_;
     force_handshake_next_ = false;
-    send_datagram_secured(config_.bdns[chosen], encoded, force);
-}
-
-void DiscoveryClient::send_datagram_secured(const Endpoint& target, const Bytes& encoded,
-                                            bool force_handshake) {
-    if (security_ != nullptr && security_->config().enabled()) {
-        const std::string_view peer = security_->identity_at(target);
-        if (!peer.empty()) {
-            wire::ByteWriter sealed(transport_.acquire_buffer());
-            if (security_->seal_datagram({encoded.data(), encoded.size()}, peer, sealed,
-                                         force_handshake)) {
-                transport_.send_datagram(local_, target, sealed.take());
-                return;
-            }
-        }
-        // Unknown identity or seal refusal: fall through to a plain send
-        // rather than silently dropping the run's request.
-    }
-    transport_.send_datagram(local_, target, encoded);
+    send_sealed_or_plain(security_, transport_, local_, config_.bdns[chosen], encoded, force);
 }
 
 void DiscoveryClient::ensure_breakers() {
@@ -270,22 +252,6 @@ void DiscoveryClient::multicast_request(const Bytes& encoded) {
     transport_.send_multicast(transport::kDiscoveryMulticastGroup, local_, encoded);
 }
 
-transport::RudpChannel& DiscoveryClient::rudp_channel(const Endpoint& peer) {
-    auto it = rudp_channels_.find(peer);
-    if (it == rudp_channels_.end()) {
-        auto channel = std::make_unique<transport::RudpChannel>(
-            scheduler_, transport_, local_clock_, local_, peer, transport::RudpOptions{},
-            hostname_ + "-rudp");
-        // A reassembled payload is a complete framed message (type octet
-        // first); re-entering on_datagram dispatches it like any arrival —
-        // an oversized DiscoveryResponse lands in on_response.
-        channel->on_deliver(
-            [this, peer](Bytes payload) { on_datagram(peer, payload); });
-        it = rudp_channels_.emplace(peer, std::move(channel)).first;
-    }
-    return *it->second;
-}
-
 void DiscoveryClient::on_datagram(const Endpoint& from, const Bytes& data) {
     try {
         wire::ByteReader reader(data);
@@ -294,17 +260,6 @@ void DiscoveryClient::on_datagram(const Endpoint& from, const Bytes& data) {
             case wire::kMsgDiscoveryAck: on_ack(from, reader); return;
             case wire::kMsgDiscoveryResponse: on_response(reader); return;
             case wire::kMsgPong: on_pong(from, reader); return;
-            case wire::kMsgRudpData:
-            case wire::kMsgRudpAck:
-                // A broker streaming an oversized response over the bulk
-                // lane. Unknown senders only get a lane while the map has
-                // room, so spoofed frames cannot grow client memory.
-                if (!rudp_channels_.contains(from) &&
-                    rudp_channels_.size() >= kMaxRudpPeers) {
-                    return;
-                }
-                rudp_channel(from).handle_frame(type, reader);
-                return;
             default:
                 NARADA_DEBUG("discovery", "{}: unexpected message type {}", local_.str(),
                              static_cast<int>(type));
@@ -491,7 +446,7 @@ void DiscoveryClient::run_fallback() {
             // Direct broker requests seal per target when the broker's
             // identity is known (§9.1); fallback is best-effort, so a
             // fresh handshake per unknown session is acceptable here.
-            send_datagram_secured(target, encoded, /*force_handshake=*/false);
+            send_sealed_or_plain(security_, transport_, local_, target, encoded);
         }
     }
     // Path 2: "the approach could work even if none of the BDNs within the
@@ -517,12 +472,9 @@ void DiscoveryClient::start_pings() {
     for (std::size_t index : report_.target_set) {
         pending_pongs_[index] = config_.pings_per_broker;
         for (std::uint32_t i = 0; i < config_.pings_per_broker; ++i) {
-            wire::ByteWriter writer(transport_.acquire_buffer());
-            writer.reserve(1 + 8);
-            writer.u8(wire::kMsgPing);
-            writer.i64(local_clock_.now());
+            const Ping ping{local_clock_.now()};
             transport_.send_datagram(local_, report_.candidates[index].response.endpoint,
-                                     writer.take());
+                                     ping.frame(transport_.acquire_buffer()));
         }
     }
     ping_timer_ = scheduler_.schedule(config_.ping_window, [this] { finish(); });
@@ -530,8 +482,7 @@ void DiscoveryClient::start_pings() {
 
 void DiscoveryClient::on_pong(const Endpoint& from, wire::ByteReader& reader) {
     if (phase_ != Phase::kPinging) return;
-    const TimeUs echoed = reader.i64();
-    const DurationUs rtt = local_clock_.now() - echoed;
+    const DurationUs rtt = local_clock_.now() - Pong::decode(reader).echoed;
     for (std::size_t index : report_.target_set) {
         Candidate& candidate = report_.candidates[index];
         if (candidate.response.endpoint != from) continue;

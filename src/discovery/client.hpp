@@ -10,11 +10,14 @@
 // callback receives a DiscoveryReport once a broker is selected or every
 // fallback is exhausted. Phase timings in the report feed the paper's
 // Figure 2/9/11 breakdowns directly.
+//
+// Every response arrives as one UDP datagram (§5.2) and every ping and
+// pong goes through the one codec in messages.hpp; the client holds no
+// reliable-UDP lane, so it parses no RUDP segment from the network.
+// Requests leave through send_sealed_or_plain (security.hpp).
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -30,7 +33,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "timesvc/ntp.hpp"
-#include "transport/rudp_channel.hpp"
 #include "transport/transport.hpp"
 
 namespace narada::discovery {
@@ -148,19 +150,10 @@ private:
     void send_to_bdn(const Bytes& encoded);
     void multicast_request(const Bytes& encoded);
     [[nodiscard]] Bytes encode_request() const;
-    /// Send `encoded` to `target`, sealed when security is on and the
-    /// target's identity is known, plain otherwise.
-    void send_datagram_secured(const Endpoint& target, const Bytes& encoded,
-                               bool force_handshake);
 
     void on_ack(const Endpoint& from, wire::ByteReader& reader);
     void on_response(wire::ByteReader& reader);
     void on_pong(const Endpoint& from, wire::ByteReader& reader);
-
-    /// The bulk lane from `peer` (a broker streaming an oversized
-    /// response), created on first RUDP frame. Reassembled payloads are
-    /// framed messages and re-enter on_datagram for normal dispatch.
-    transport::RudpChannel& rudp_channel(const Endpoint& peer);
 
     /// (Re)build one breaker per configured BDN; called lazily so tests
     /// that mutate `config().bdns` after construction still get breakers.
@@ -236,10 +229,6 @@ private:
     TimerHandle quiesce_timer_ = kInvalidTimerHandle;
 
     std::vector<Endpoint> cached_targets_;
-
-    // Inbound bulk lanes, one per sending broker (spoof-bounded).
-    std::map<Endpoint, std::unique_ptr<transport::RudpChannel>> rudp_channels_;
-    static constexpr std::size_t kMaxRudpPeers = 16;
 
     SecurityContext* security_ = nullptr;  ///< secured datapath (null = off)
     /// Set by the retransmit paths: the next send re-handshakes, healing a

@@ -1,5 +1,7 @@
 #include "discovery/messages.hpp"
 
+#include "wire/msg_types.hpp"
+
 namespace narada::discovery {
 namespace {
 
@@ -44,6 +46,13 @@ Endpoint decode_endpoint(wire::ByteReader& reader) {
     ep.host = reader.u32();
     ep.port = reader.u16();
     return ep;
+}
+
+/// Overwrite `width` bytes of `buf` at `at` with `v`, big-endian.
+void put_be(Bytes& buf, std::size_t at, std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+        buf[at + i] = static_cast<std::uint8_t>(v >> (8 * (width - 1 - i)));
+    }
 }
 
 }  // namespace
@@ -303,6 +312,63 @@ RegistryDigest RegistryDigest::decode(wire::ByteReader& reader) {
     d.digest = reader.u64();
     d.count = reader.u32();
     return d;
+}
+
+Bytes Ping::frame(Bytes buffer) const {
+    wire::ByteWriter writer(std::move(buffer));
+    writer.reserve(1 + 8);
+    writer.u8(wire::kMsgPing);
+    writer.i64(sent);
+    return writer.take();
+}
+
+Ping Ping::decode(wire::ByteReader& reader) { return Ping{reader.i64()}; }
+
+Bytes Pong::frame(Bytes buffer) const {
+    wire::ByteWriter writer(std::move(buffer));
+    writer.reserve(1 + 8 + 8);
+    writer.u8(wire::kMsgPong);
+    writer.i64(echoed);
+    writer.i64(responder_utc);
+    return writer.take();
+}
+
+Pong Pong::decode(wire::ByteReader& reader) {
+    Pong pong;
+    pong.echoed = reader.i64();
+    pong.responder_utc = reader.i64();
+    return pong;
+}
+
+Bytes BdnAnnouncement::frame(Bytes buffer) const {
+    wire::ByteWriter writer(std::move(buffer));
+    writer.reserve(1 + kEndpointWireSize);
+    writer.u8(wire::kMsgBdnAdvertisement);
+    encode_endpoint(writer, bdn);
+    return writer.take();
+}
+
+BdnAnnouncement BdnAnnouncement::decode(wire::ByteReader& reader) {
+    return BdnAnnouncement{decode_endpoint(reader)};
+}
+
+RequestTemplate::RequestTemplate(const DiscoveryRequest& request)
+    // Type octet, request id, then the length-prefixed hostname: the reply
+    // endpoint follows it (DiscoveryRequest::encode).
+    : reply_to_offset_(1 + 16 + 4 + request.requester_hostname.size()) {
+    wire::ByteWriter writer(1 + request.measured_size());
+    writer.u8(wire::kMsgDiscoveryRequest);
+    request.encode(writer);
+    framed_ = writer.take();
+}
+
+Bytes RequestTemplate::stamp(Bytes buffer, const Uuid& id, const Endpoint& reply_to) const {
+    buffer.assign(framed_.begin(), framed_.end());
+    put_be(buffer, 1, id.hi(), 8);
+    put_be(buffer, 1 + 8, id.lo(), 8);
+    put_be(buffer, reply_to_offset_, reply_to.host, 4);
+    put_be(buffer, reply_to_offset_ + 4, reply_to.port, 2);
+    return buffer;
 }
 
 }  // namespace narada::discovery

@@ -413,4 +413,21 @@ void SecurityContext::set_observability(obs::MetricsRegistry* metrics, const std
     inst_.open_errors = &metrics->counter("crypto_open_errors", node);
 }
 
+bool send_sealed_or_plain(SecurityContext* security, transport::Transport& transport,
+                          const Endpoint& from, const Endpoint& to,
+                          std::span<const std::uint8_t> framed, bool force_handshake) {
+    if (security != nullptr && security->config().enabled()) {
+        const std::string_view peer = security->identity_at(to);
+        if (!peer.empty()) {
+            wire::ByteWriter sealed(transport.acquire_buffer());
+            if (security->seal_datagram(framed, peer, sealed, force_handshake)) {
+                transport.send_datagram(from, to, sealed.take());
+                return true;
+            }
+        }
+    }
+    transport.send_datagram(from, to, Bytes(framed.begin(), framed.end()));
+    return false;
+}
+
 }  // namespace narada::discovery

@@ -68,6 +68,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/session_key_cache.hpp"
 #include "obs/metrics.hpp"
+#include "transport/transport.hpp"
 #include "wire/codec.hpp"
 
 namespace narada::discovery {
@@ -213,5 +214,14 @@ private:
         obs::Counter* open_errors = nullptr;
     } inst_;
 };
+
+/// The one seal-or-plain send. `framed` (a plain datagram, type octet
+/// first) leaves `from` for `to` sealed when `security` is on and knows the
+/// identity at `to`, and plain otherwise — no context, no identity, or a
+/// seal refusal — rather than not at all. `force_handshake` as for
+/// seal_datagram. Returns true when the datagram left sealed.
+bool send_sealed_or_plain(SecurityContext* security, transport::Transport& transport,
+                          const Endpoint& from, const Endpoint& to,
+                          std::span<const std::uint8_t> framed, bool force_handshake = false);
 
 }  // namespace narada::discovery

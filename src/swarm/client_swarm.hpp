@@ -7,9 +7,10 @@
 // byte-or-few field per endpoint — a bucketed hierarchical TimerWheel, and
 // a single kernel timer armed at the wheel's next-deadline hint.
 //
-// The wire shim: one DiscoveryRequest is encoded per swarm (the template);
-// each send copies it into a pooled transport buffer and patches the two
-// per-client fields in place (request UUID, reply-to endpoint). Request
+// The wire shim: one DiscoveryRequest is framed per swarm (a
+// discovery::RequestTemplate); each send stamps a copy in a pooled
+// transport buffer with the two per-client fields (request UUID, reply-to
+// endpoint), so the swarm never sees the request's byte layout. Request
 // UUIDs are minted deterministically from (seed, endpoint index, run
 // sequence) so response matching recomputes the UUID instead of storing
 // it. Responses and acks are parsed with the borrowed views — the steady
@@ -30,6 +31,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "common/uuid.hpp"
+#include "discovery/messages.hpp"
 #include "obs/metrics.hpp"
 #include "sim/kernel.hpp"
 #include "sim/network.hpp"
@@ -149,7 +151,6 @@ private:
         TimeUs open_until = 0;       ///< breaker-open horizon (virtual time)
     };
 
-    void build_template();
     [[nodiscard]] Uuid mint_uuid(std::uint32_t i) const;
     [[nodiscard]] std::uint64_t draw(std::uint32_t i);  ///< per-endpoint stream
     [[nodiscard]] Endpoint endpoint_of(std::uint32_t i) const;
@@ -200,9 +201,9 @@ private:
 
     std::vector<BdnHealth> bdn_health_;
 
-    Bytes template_;               ///< type octet + encoded DiscoveryRequest
-    std::size_t uuid_offset_ = 0;
-    std::size_t reply_to_offset_ = 0;
+    /// The framed request every send stamps with its run's id and the
+    /// sending endpoint.
+    discovery::RequestTemplate request_;
 
     sim::TimerId armed_timer_ = sim::kInvalidTimer;
     TimeUs armed_at_ = 0;

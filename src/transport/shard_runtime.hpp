@@ -21,7 +21,10 @@
 //   * an endpoint lives on exactly one shard: binding it through a second
 //     shard fails like binding its port twice;
 //   * a ShardPort routes its sends, acquire_buffer() and timers to its own
-//     shard whatever thread calls it, so nodes can be started from main();
+//     shard whatever thread calls it;
+//   * a protocol object is constructed, started, read and destroyed on its
+//     home reactor: a thread outside the runtime (main) does each of these
+//     through ShardPort::call, which runs the step there and waits;
 //   * the runtime's own Transport and Scheduler calls are shard 0's;
 //   * a reliable frame leaves from its sender's home shard, so every frame
 //     of a (from, to) pair rides one TCP connection and keeps per-pair FIFO.
@@ -32,8 +35,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/scheduler.hpp"
@@ -79,6 +84,14 @@ public:
     void cancel_timer(TimerHandle handle) override;
 
     [[nodiscard]] std::size_t shard() const { return shard_; }
+
+    /// Run `fn` on this shard's reactor and return its result (or rethrow
+    /// its exception): inline when called there, otherwise posted and
+    /// waited for. The one way for a thread outside the runtime to touch a
+    /// protocol object homed here. A reactor must not call into another
+    /// shard this way: two reactors waiting on each other deadlock.
+    template <typename Fn>
+    std::invoke_result_t<Fn&> call(Fn&& fn);
 
 private:
     friend class ShardRuntime;
@@ -153,5 +166,14 @@ private:
     std::vector<std::unique_ptr<PosixTransport>> shards_;
     std::unique_ptr<ShardPort[]> ports_;  ///< one per shard (private ctor)
 };
+
+template <typename Fn>
+std::invoke_result_t<Fn&> ShardPort::call(Fn&& fn) {
+    if (rt_->current_shard() == static_cast<int>(shard_)) return fn();
+    std::packaged_task<std::invoke_result_t<Fn&>()> task(std::ref(fn));
+    auto result = task.get_future();
+    schedule(0, [&task] { task(); });
+    return result.get();
+}
 
 }  // namespace narada::transport

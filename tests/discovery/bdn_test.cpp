@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/kernel.hpp"
 #include "sim/network.hpp"
@@ -168,6 +169,20 @@ TEST_F(BdnFixture, PongFromAbandonedEndpointLeavesRttUnchanged) {
     forge_pong(ad.endpoint);  // the current endpoint still measures
     EXPECT_NE(bdn.registry().at(0).rtt, measured);
     EXPECT_EQ(endpoint_map_size(bdn), 1u);
+}
+
+TEST_F(BdnFixture, PongFromUnmappedEndpointCountsInStatAndRegistry) {
+    // Stats::pongs_received and the bdn_pongs_received counter count the
+    // same thing: every pong, whether or not its source maps to a broker.
+    obs::MetricsRegistry metrics;
+    Bdn bdn = make_bdn();
+    bdn.set_observability(&metrics, nullptr, nullptr);
+    const Pong pong{net.host_clock(bdn_host).now(), 0};
+    net.send_datagram(client_ep(), bdn.endpoint(), pong.frame({}));
+    kernel.run_until(kernel.now() + kSecond);
+    EXPECT_EQ(bdn.stats().pongs_received, 1u);
+    EXPECT_EQ(metrics.counter("bdn_pongs_received", bdn.name()).value(), 1u);
+    EXPECT_EQ(bdn.registered_count(), 0u);
 }
 
 TEST_F(BdnFixture, SweepKeepsSharedEndpointMappingOfSurvivor) {

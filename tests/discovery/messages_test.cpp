@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "wire/msg_types.hpp"
 
 namespace narada::discovery {
 namespace {
@@ -166,6 +167,92 @@ TEST(Messages, TraceParentCopyRejectsShortRegion) {
     const Bytes short_region(obs::TraceContext::kWireSize - 1, 0);
     wire::ByteWriter w;
     EXPECT_THROW(copy_with_trace_parent(w, short_region, 1), wire::WireError);
+}
+
+// The fixed-size datagrams against the bytes their former inline writers
+// (BDN, client, ManagedConnection, broker heartbeat and pong, Bdn::
+// announce_to) produced, and back.
+TEST(Messages, PingMatchesItsFormerWriters) {
+    for (const TimeUs sent : {TimeUs{0}, TimeUs{123456}, TimeUs{-5}, TimeUs{1} << 62}) {
+        wire::ByteWriter former;
+        former.u8(wire::kMsgPing);
+        former.i64(sent);
+        const Bytes framed = Ping{sent}.frame({});
+        EXPECT_EQ(framed, former.bytes());
+        wire::ByteReader r(framed);
+        ASSERT_EQ(r.u8(), wire::kMsgPing);
+        EXPECT_EQ(Ping::decode(r).sent, sent);
+        EXPECT_TRUE(r.at_end());
+    }
+}
+
+TEST(Messages, PongMatchesItsFormerWriter) {
+    const Pong pong{987654321, -42};
+    wire::ByteWriter former;
+    former.u8(wire::kMsgPong);
+    former.i64(pong.echoed);
+    former.i64(pong.responder_utc);
+    const Bytes framed = pong.frame({});
+    EXPECT_EQ(framed, former.bytes());
+    wire::ByteReader r(framed);
+    ASSERT_EQ(r.u8(), wire::kMsgPong);
+    const Pong read = Pong::decode(r);
+    EXPECT_EQ(read.echoed, pong.echoed);
+    EXPECT_EQ(read.responder_utc, pong.responder_utc);
+    EXPECT_TRUE(r.at_end());
+}
+
+TEST(Messages, BdnAnnouncementMatchesItsFormerWriter) {
+    const Endpoint bdn{0x0A000001u, 47000};
+    wire::ByteWriter former;
+    former.u8(wire::kMsgBdnAdvertisement);
+    former.u32(bdn.host);
+    former.u16(bdn.port);
+    const Bytes framed = BdnAnnouncement{bdn}.frame({});
+    EXPECT_EQ(framed, former.bytes());
+    wire::ByteReader r(framed);
+    ASSERT_EQ(r.u8(), wire::kMsgBdnAdvertisement);
+    EXPECT_EQ(BdnAnnouncement::decode(r).bdn, bdn);
+    EXPECT_TRUE(r.at_end());
+}
+
+TEST(Messages, FramingReusesTheRecycledBuffer) {
+    Bytes recycled;
+    recycled.reserve(256);
+    recycled.assign(40, 0xEE);  // stale contents are discarded
+    const std::uint8_t* storage = recycled.data();
+    const Bytes framed = Ping{7}.frame(std::move(recycled));
+    EXPECT_EQ(framed.data(), storage);
+    EXPECT_EQ(framed.size(), 1u + 8u);
+}
+
+TEST(Messages, RequestStampMatchesReencode) {
+    Rng rng(9);
+    for (int i = 0; i < 200; ++i) {
+        const DiscoveryRequest req = random_request(rng);
+        const RequestTemplate tmpl(req);
+        for (int j = 0; j < 5; ++j) {
+            const Uuid id = Uuid::random(rng);
+            const Endpoint reply{static_cast<HostId>(rng.next()),
+                                 static_cast<std::uint16_t>(rng.next())};
+            wire::ByteWriter w;
+            w.u8(wire::kMsgDiscoveryRequest);
+            req.encode(w);
+            wire::ByteReader r(w.bytes());
+            ASSERT_EQ(r.u8(), wire::kMsgDiscoveryRequest);
+            DiscoveryRequest edited = DiscoveryRequestView::peek(r).materialize();
+            edited.request_id = id;
+            edited.reply_to = reply;
+            wire::ByteWriter expected;
+            expected.u8(wire::kMsgDiscoveryRequest);
+            edited.encode(expected);
+
+            Bytes recycled(3, 0xEE);  // stale contents are replaced
+            EXPECT_EQ(tmpl.stamp(std::move(recycled), id, reply), expected.bytes())
+                << "request " << i << " stamp " << j;
+        }
+        EXPECT_EQ(tmpl.framed().size(), 1 + req.measured_size());
+    }
 }
 
 TEST(Messages, TruncatedResponseThrows) {

@@ -9,12 +9,15 @@
 #include <algorithm>
 #include <string>
 
+#include "broker/broker.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "discovery/bdn.hpp"
+#include "discovery/broker_plugin.hpp"
 #include "obs/metrics.hpp"
 #include "sim/kernel.hpp"
 #include "sim/network.hpp"
+#include "timesvc/ntp.hpp"
 #include "wire/msg_types.hpp"
 
 namespace narada::discovery {
@@ -591,6 +594,40 @@ TEST_F(SecuredBdnFixture, SealedAdWithForeignSubjectRejected) {
     EXPECT_EQ(bdn.registered_count(), 0u);
     EXPECT_EQ(bdn.stats().secured_received, 1u);  // opened fine...
     EXPECT_EQ(bdn.stats().ads_rejected_unauthenticated, 1u);  // ...then blocked
+}
+
+TEST_F(SecuredBdnFixture, AnnouncedBdnReceivesSealedReadvertisement) {
+    // §2.4: a BDN that announces itself gets the broker's advertisement
+    // back. The reply takes the same send as an advertisement to a
+    // configured BDN, so an authenticate_ads BDN whose identity the broker
+    // knows receives it sealed and registers it.
+    auto sec_cfg = make_config(config::SecurityConfig::Mode::kSeal);
+    sec_cfg.authenticate_ads = true;
+    SecurityContext bdn_sec = make_context("bdn", sec_cfg, net.host_clock(bdn_host));
+    SecurityContext broker_sec =
+        make_context("broker-1", sec_cfg, net.host_clock(broker_host));
+    broker_sec.add_peer_key("bdn", keys_by_name["bdn"]);
+    broker_sec.map_endpoint(bdn_ep(), "bdn");
+
+    Bdn bdn(kernel, net, bdn_ep(), net.host_clock(bdn_host), {});
+    bdn.set_security(&bdn_sec);
+
+    // No configured BDNs: only the announcement can bring this ad about.
+    timesvc::FixedUtcSource utc(net.host_clock(broker_host));
+    broker::Broker broker(kernel, net, broker_ep(), net.host_clock(broker_host), utc, {},
+                          "broker-1");
+    BrokerDiscoveryPlugin plugin(BrokerIdentity{}, /*join_multicast=*/false);
+    broker.add_plugin(&plugin);
+    plugin.set_security(&broker_sec);
+    broker.start();
+
+    bdn.announce_to(broker_ep());
+    kernel.run_until(kernel.now() + kSecond);
+
+    EXPECT_EQ(bdn.registered_count(), 1u);
+    EXPECT_EQ(bdn.stats().ads_rejected_unauthenticated, 0u);
+    EXPECT_EQ(bdn.stats().secured_received, 1u);
+    EXPECT_EQ(plugin.stats().advertisements_sealed, 1u);
 }
 
 TEST_F(SecuredBdnFixture, GarbageEnvelopeCountsOpenFailure) {

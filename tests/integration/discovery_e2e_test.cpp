@@ -130,52 +130,5 @@ TEST(DiscoveryE2E, StarWaitsLessThanUnconnected) {
     EXPECT_LT(star_report.collection_duration, unc_report.collection_duration);
 }
 
-TEST(DiscoveryE2E, OversizedResponsesTravelTheRudpLane) {
-    // Force every discovery response over the reliable-UDP bulk lane (a
-    // 1-byte threshold makes them all "oversized"): the client must
-    // reassemble the fragmented responses and discovery must end exactly
-    // where the plain-datagram path ends.
-    ScenarioOptions opts = base_options(Topology::kStar);
-    opts.broker.response_rudp_threshold = 1;
-    Scenario s(opts);
-    const auto report = s.run_discovery();
-    ASSERT_TRUE(report.success);
-    EXPECT_EQ(report.candidates.size(), 5u);
-    ASSERT_TRUE(report.selected.has_value());
-
-    std::uint64_t rudp_responses = 0;
-    for (std::size_t i = 0; i < 5; ++i) {
-        rudp_responses += s.plugin_at(i).stats().responses_rudp;
-        EXPECT_EQ(s.plugin_at(i).stats().responses_sent,
-                  s.plugin_at(i).stats().responses_rudp)
-            << "broker " << i << " bypassed the lane despite the threshold";
-    }
-    EXPECT_GE(rudp_responses, 5u);
-}
-
-TEST(DiscoveryE2E, RudpResponsesMatchDatagramResponses) {
-    // Same scenario, same seed, lane on vs off: the discovery outcome
-    // (candidate set and selection) must be identical — the lane changes
-    // delivery, not semantics.
-    ScenarioOptions plain_opts = base_options(Topology::kStar, 21);
-    plain_opts.per_hop_loss = 0;
-    ScenarioOptions rudp_opts = plain_opts;
-    rudp_opts.broker.response_rudp_threshold = 1;
-
-    Scenario plain(plain_opts);
-    Scenario rudp(rudp_opts);
-    const auto plain_report = plain.run_discovery();
-    const auto rudp_report = rudp.run_discovery();
-    ASSERT_TRUE(plain_report.success);
-    ASSERT_TRUE(rudp_report.success);
-    ASSERT_EQ(plain_report.candidates.size(), rudp_report.candidates.size());
-    ASSERT_TRUE(plain_report.selected.has_value());
-    ASSERT_TRUE(rudp_report.selected.has_value());
-    for (std::size_t i = 0; i < plain_report.candidates.size(); ++i) {
-        EXPECT_EQ(plain_report.candidates[i].response.broker_name,
-                  rudp_report.candidates[i].response.broker_name);
-    }
-}
-
 }  // namespace
 }  // namespace narada
