@@ -3,7 +3,7 @@
 // on — an endpoint homed on shard i has its sockets on shard i alone, so it
 // only ever runs on shard i's thread and everything it sends leaves
 // through shard i, whichever thread made the call — plus timer routing,
-// run_on, and a full RUDP bulk transfer between shards of a 4-shard
+// run_on and call, and a full RUDP bulk transfer between shards of a 4-shard
 // runtime. The storm tests double as the TSan soak: home-shard sinks
 // mutate non-atomic state on purpose, so any violation of the
 // single-thread contract is a data race the sanitizer catches, not just a
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -377,6 +378,25 @@ TEST_F(ShardedFixture, RunOnExecutesOnTargetShardFromAnyThread) {
                    std::memory_order_release);
     });
     EXPECT_TRUE(wait_for([&] { return done.load(std::memory_order_acquire); }));
+}
+
+TEST_F(ShardedFixture, CallRunsOnTheHomeReactorAndReturnsItsResult) {
+    auto rt = make_runtime(kShards);
+    for (std::size_t i = 0; i < rt->shards(); ++i) {
+        ShardPort& port = rt->port(i);
+        // From this thread: posted to shard i, and the result comes back.
+        EXPECT_EQ(port.call([&] { return rt->current_shard(); }), static_cast<int>(i));
+        // From shard i's own reactor: inline, so it never waits on itself.
+        EXPECT_EQ(port.call([&] { return port.call([&] { return rt->current_shard(); }); }),
+                  static_cast<int>(i));
+    }
+    // What the step wrote is visible once call returns, and its exception
+    // reaches the caller.
+    int written = 0;
+    rt->port(2).call([&] { written = 7; });
+    EXPECT_EQ(written, 7);
+    EXPECT_THROW(rt->port(3).call([]() -> int { throw std::runtime_error("step failed"); }),
+                 std::runtime_error);
 }
 
 // --- RUDP over the shard group ----------------------------------------------
