@@ -44,7 +44,7 @@ struct Ad {
 };
 
 /// One member's slice of the table: indices of the ads it owns under the
-/// ring, exactly what Bdn::local_candidates() iterates.
+/// ring, the entries its BDN's registry would hold.
 using ShardTable = std::vector<std::uint32_t>;
 
 struct Federation {

@@ -1,7 +1,6 @@
 #include "discovery/bdn.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "broker/topic.hpp"
@@ -277,32 +276,30 @@ void Bdn::merge_entry(const RegistrySyncEntry& entry) {
     // Lamport advance: local writes after this merge must outrank it.
     version_counter_ = std::max(version_counter_, entry.version);
 
-    const auto it = registry_.find(entry.ad.broker_id);
-    if (it == registry_.end()) {
-        RegisteredBroker& rb = registry_[entry.ad.broker_id];
-        rb.ad = entry.ad;
-        rb.registered_at = now;
-        rb.lease_expires_at = merged_lease;
-        rb.origin = entry.origin;
-        rb.version = entry.version;
-        endpoint_to_broker_[entry.ad.endpoint] = entry.ad.broker_id;
+    RegisteredBroker* known = registry_.find(entry.ad.broker_id);
+    if (known == nullptr) {
+        RegisteredBroker* rb = registry_.put(entry.ad);
+        if (rb == nullptr) {
+            ++stats_.ads_refused;
+            return;
+        }
+        rb->registered_at = now;
+        rb->lease_expires_at = merged_lease;
+        rb->origin = entry.origin;
+        rb->version = entry.version;
         ++stats_.sync_brokers_learned;
         // Measure the newcomer immediately, as with a direct ad.
         if (started_) send_ping(entry.ad.endpoint);
         return;
     }
-    RegisteredBroker& rb = it->second;
+    RegisteredBroker& rb = *known;
     // (version, origin) totally orders concurrent writes of one broker id;
     // only a strictly newer write replaces the ad payload. RTT and pong
     // history are local measurements and always survive the merge.
     if (std::pair(entry.version, entry.origin) > std::pair(rb.version, rb.origin)) {
-        if (rb.ad.endpoint != entry.ad.endpoint) {
-            unmap_endpoint(rb.ad.endpoint, entry.ad.broker_id);
-        }
-        rb.ad = entry.ad;
+        registry_.put(entry.ad);
         rb.origin = entry.origin;
         rb.version = entry.version;
-        endpoint_to_broker_[entry.ad.endpoint] = entry.ad.broker_id;
     }
     // Leases only grow from a merge (up to the clamped remaining time): a
     // replica with a staler view must not shorten what the broker already
@@ -357,10 +354,11 @@ std::string Bdn::debug_snapshot() const {
         .field("queue_depth", static_cast<std::uint64_t>(ingest_queue_.size()))
         .field("dedup_occupancy", static_cast<std::uint64_t>(seen_requests_.size()))
         .field("dedup_evictions", seen_requests_.evictions())
-        .field("endpoint_map_size", static_cast<std::uint64_t>(endpoint_to_broker_.size()));
+        .field("endpoint_map_size", static_cast<std::uint64_t>(registry_.endpoint_map_size()));
     w.key("stats").begin_object()
         .field("ads_received", stats_.ads_received)
         .field("ads_filtered", stats_.ads_filtered)
+        .field("ads_refused", stats_.ads_refused)
         .field("requests_received", stats_.requests_received)
         .field("duplicate_requests", stats_.duplicate_requests)
         .field("acks_sent", stats_.acks_sent)
@@ -620,13 +618,15 @@ void Bdn::forward_ad(const Uuid& broker_id, std::span<const std::uint8_t> raw) {
 }
 
 void Bdn::register_advertisement(const BrokerAdvertisement& ad) {
-    const bool known = registry_.contains(ad.broker_id);
-    RegisteredBroker& rb = registry_[ad.broker_id];
-    const DurationUs previous_rtt = known ? rb.rtt : -1;
-    if (known && rb.ad.endpoint != ad.endpoint) unmap_endpoint(rb.ad.endpoint, ad.broker_id);
-    rb.ad = ad;
+    const bool known = registry_.find(ad.broker_id) != nullptr;
+    // A renewal keeps its RTT and its place in the distance table.
+    RegisteredBroker* stored = registry_.put(ad);
+    if (stored == nullptr) {
+        ++stats_.ads_refused;
+        return;
+    }
+    RegisteredBroker& rb = *stored;
     rb.registered_at = local_clock_.now();
-    rb.rtt = previous_rtt;
     // Every accepted fresh advertisement mints a new version at this node:
     // renewals change the registry digest (so peers hear about them), and
     // (version, origin) resolves concurrent writes during merges.
@@ -639,14 +639,8 @@ void Bdn::register_advertisement(const BrokerAdvertisement& ad) {
         rb.lease_expires_at = local_clock_.now() + config_.ad_lease;
         if (known) ++stats_.leases_renewed;
     }
-    endpoint_to_broker_[ad.endpoint] = ad.broker_id;
     // Measure the newcomer immediately so the injection strategy can use it.
     if (!known && started_) send_ping(ad.endpoint);
-}
-
-void Bdn::unmap_endpoint(const Endpoint& endpoint, const Uuid& id) {
-    const auto it = endpoint_to_broker_.find(endpoint);
-    if (it != endpoint_to_broker_.end() && it->second == id) endpoint_to_broker_.erase(it);
 }
 
 void Bdn::handle_request(const Endpoint& from, const DiscoveryRequestView& view) {
@@ -775,7 +769,9 @@ void Bdn::dispatch(AdmittedRequest request) {
             }
         }
         inject(std::move(request.framed), targets);
-        if (inject_span != 0) {
+        if (inject_span != 0 && config_.injection_spacing == 0) {
+            spans_->end(inject_span, span_now());  // every send went out inline
+        } else if (inject_span != 0) {
             const DurationUs last_send = std::max<DurationUs>(
                 0, static_cast<DurationUs>(targets.size() - 1) * config_.injection_spacing);
             scheduler_.schedule(last_send, [spans = spans_, utc = utc_, inject_span] {
@@ -827,28 +823,13 @@ void Bdn::handle_pong(const Endpoint& from, wire::ByteReader& reader) {
     // Both counters count every well-formed pong, mapped source or not.
     ++stats_.pongs_received;
     if (inst_.pongs) inst_.pongs->inc();
-    const auto it = endpoint_to_broker_.find(from);
-    if (it == endpoint_to_broker_.end()) return;
-    const auto rit = registry_.find(it->second);
-    if (rit == registry_.end()) return;
-    rit->second.rtt = local_clock_.now() - pong.echoed;
-    rit->second.last_pong = local_clock_.now();
-}
-
-std::vector<InjectionCandidate> Bdn::local_candidates() const {
     const TimeUs now = local_clock_.now();
-    std::vector<InjectionCandidate> out;
-    out.reserve(registry_.size());
-    for (const auto& [id, rb] : registry_) {
-        // Unswept expired entries never become injection points.
-        if (rb.lease_lapsed(now)) continue;
-        out.push_back({id, rb.ad.endpoint, rb.rtt});
-    }
-    return out;
+    registry_.measure(from, now - pong.echoed, now);
 }
 
 std::vector<Endpoint> Bdn::injection_targets() {
-    return select_injection_targets(local_candidates(), config_.injection, rng_);
+    // Unswept expired entries never become injection points.
+    return registry_.injection_targets(config_.injection, local_clock_.now(), rng_);
 }
 
 void Bdn::start_gather(const Uuid& request_id, std::shared_ptr<const Bytes> framed) {
@@ -862,7 +843,9 @@ void Bdn::start_gather(const Uuid& request_id, std::shared_ptr<const Bytes> fram
     ++stats_.gathers;
     GatherState& gather = gathers_[request_id];
     gather.framed = std::move(framed);
-    gather.candidates = local_candidates();
+    // Seeded in id order; shard replies append behind it, and
+    // select_injection_targets orders the whole list.
+    gather.candidates = registry_.candidates(local_clock_.now());
     for (const Endpoint& member : ring_.members()) {
         if (member != local_) gather.pending.insert(member);
     }
@@ -900,30 +883,20 @@ void Bdn::finalize_gather(const Uuid& request_id, bool partial) {
 
 void Bdn::handle_shard_query(const Endpoint& from, const ShardQuery& query) {
     ++stats_.shard_queries_received;
-    std::vector<InjectionCandidate> mine = local_candidates();
-    if (federated()) {
-        // Only entries this shard owns: rebalance residue stays local so a
-        // coordinator never hears about one broker from a shard that merely
-        // used to own it (the current owners answer for it).
-        std::erase_if(mine, [this](const InjectionCandidate& c) {
-            return !ring_.owns(local_, c.broker_id);
-        });
-    }
-    std::stable_sort(mine.begin(), mine.end(),
-                     [](const InjectionCandidate& a, const InjectionCandidate& b) {
-                         const DurationUs ra =
-                             a.rtt < 0 ? std::numeric_limits<DurationUs>::max() : a.rtt;
-                         const DurationUs rb =
-                             b.rtt < 0 ? std::numeric_limits<DurationUs>::max() : b.rtt;
-                         return ra < rb;
-                     });
     ShardReply reply;
     reply.query_id = query.query_id;
-    // 64 = the codec's list-length bound; a larger ask still fits one reply.
-    const std::size_t limit = std::min<std::size_t>({mine.size(), query.limit, 64});
-    reply.entries.reserve(limit);
-    for (std::size_t i = 0; i < limit; ++i) {
-        reply.entries.push_back({mine[i].broker_id, mine[i].endpoint, mine[i].rtt});
+    // The best-RTT slice, off the front of the order. 64 = the codec's
+    // list-length bound; a larger ask still fits one reply.
+    const std::size_t limit = std::min<std::size_t>(query.limit, 64);
+    if (limit > 0) {
+        registry_.visit_ranked(local_clock_.now(), [&](const RegisteredBroker& rb) {
+            // Only entries this shard owns: rebalance residue stays local so
+            // a coordinator never hears about one broker from a shard that
+            // merely used to own it (the current owners answer for it).
+            if (federated() && !ring_.owns(local_, rb.ad.broker_id)) return true;
+            reply.entries.push_back({rb.ad.broker_id, rb.ad.endpoint, rb.rtt});
+            return reply.entries.size() < limit;
+        });
     }
     wire::ByteWriter writer(transport_.acquire_buffer());
     writer.reserve(1 + reply.measured_size());
@@ -952,13 +925,18 @@ void Bdn::inject(std::shared_ptr<const Bytes> framed, const std::vector<Endpoint
     if (inst_.fanout) inst_.fanout->observe(static_cast<double>(targets.size()));
     // Injections are issued sequentially: each send costs the BDN its
     // per-injection processing time, so fanning out to N brokers takes
-    // O(N * spacing) — the effect Figure 2 measures. A send captures what
-    // it sends with rather than the BDN, so destroying the BDN mid-fan-out
-    // leaves no timer pointing at freed memory.
+    // O(N * spacing) — the effect Figure 2 measures. At zero spacing they
+    // go out inline, with no timer. A spaced send captures what it sends
+    // with rather than the BDN, so destroying the BDN mid-fan-out leaves no
+    // timer pointing at freed memory.
     DurationUs at = 0;
     for (const Endpoint& target : targets) {
         ++stats_.injections;
         if (inst_.injections) inst_.injections->inc();
+        if (config_.injection_spacing == 0) {
+            transport_.send_reliable(local_, target, *framed);
+            continue;
+        }
         scheduler_.schedule(at, [&transport = transport_, local = local_, target, framed] {
             transport.send_reliable(local, target, *framed);
         });
@@ -1049,29 +1027,18 @@ void Bdn::refresh_distances() {
     // entries carry the lease the sender granted, and must lapse here even
     // if this node doesn't lease its direct registrations.
     const TimeUs now = local_clock_.now();
-    for (auto it = registry_.begin(); it != registry_.end();) {
-        bool evict = false;
-        if (config_.registration_expiry > 0) {
-            const TimeUs last_seen = std::max(it->second.last_pong, it->second.registered_at);
-            if (now - last_seen > config_.registration_expiry) {
-                ++stats_.registrations_expired;
-                evict = true;
-            }
+    registry_.erase_if([&](const RegisteredBroker& rb) {
+        if (config_.registration_expiry > 0 &&
+            now - std::max(rb.last_pong, rb.registered_at) > config_.registration_expiry) {
+            ++stats_.registrations_expired;
+            return true;
         }
-        if (!evict && it->second.lease_lapsed(now)) {
-            ++stats_.leases_expired;
-            if (inst_.leases_expired) inst_.leases_expired->inc();
-            NARADA_DEBUG("bdn", "{}: advertisement lease of {} lapsed", name_,
-                         it->second.ad.broker_name);
-            evict = true;
-        }
-        if (evict) {
-            unmap_endpoint(it->second.ad.endpoint, it->first);
-            it = registry_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+        if (!rb.lease_lapsed(now)) return false;
+        ++stats_.leases_expired;
+        if (inst_.leases_expired) inst_.leases_expired->inc();
+        NARADA_DEBUG("bdn", "{}: advertisement lease of {} lapsed", name_, rb.ad.broker_name);
+        return true;
+    });
     for (const auto& [id, rb] : registry_) send_ping(rb.ad.endpoint);
     refresh_timer_ =
         scheduler_.schedule(config_.ping_refresh_interval, [this] { refresh_distances(); });

@@ -9,13 +9,16 @@
 //     attached to a broker as a pub/sub client — advertisements published
 //     on the public topic (§2.3), optionally filtered by realm;
 //   * maintains a distance table by pinging registered brokers (§4: "could
-//     easily be constructed by issuing ping requests");
+//     easily be constructed by issuing ping requests"), kept as the RTT
+//     order of its registry (BdnRegistry), which is bounded by
+//     kMaxRegistry ids;
 //   * acknowledges discovery requests in a timely manner (§3) and is
 //     idempotent under retransmission;
 //   * propagates each request into the broker network by injecting it at
 //     brokers chosen by the configured strategy — by default the closest
 //     and the farthest broker, "to ensure that the broker discovery
-//     request propagates faster through the broker network" (§4);
+//     request propagates faster through the broker network" (§4), read off
+//     the two ends of the RTT order without copying the registry;
 //   * as a private BDN, can require credentials before serving a request
 //     and can announce itself to brokers so they re-advertise (§2.4).
 #pragma once
@@ -36,6 +39,7 @@
 #include "common/scheduler.hpp"
 #include "common/token_bucket.hpp"
 #include "config/node_config.hpp"
+#include "discovery/bdn_registry.hpp"
 #include "discovery/messages.hpp"
 #include "discovery/registry_shard.hpp"
 #include "discovery/scoring.hpp"
@@ -52,30 +56,12 @@ struct SecureOpenResult;
 
 class Bdn final : public transport::MessageHandler {
 public:
-    struct RegisteredBroker {
-        BrokerAdvertisement ad;
-        TimeUs registered_at = 0;
-        /// Measured round-trip to the broker; -1 until the first pong.
-        DurationUs rtt = -1;
-        TimeUs last_pong = 0;
-        /// When the advertisement lease lapses (0 = no lease). Renewed only
-        /// by a fresh advertisement, never by pongs.
-        TimeUs lease_expires_at = 0;
-        /// Version stamp for convergent replica merges: minted by `origin`
-        /// (a BDN node id) whenever it accepts a fresh advertisement.
-        /// (version, origin) totally orders concurrent writes of one id.
-        std::uint64_t origin = 0;
-        std::uint64_t version = 0;
-
-        /// The advertisement lease has lapsed at `now` (never without one).
-        [[nodiscard]] bool lease_lapsed(TimeUs now) const {
-            return lease_expires_at > 0 && now >= lease_expires_at;
-        }
-    };
+    using RegisteredBroker = discovery::RegisteredBroker;
 
     struct Stats {
         std::uint64_t ads_received = 0;
         std::uint64_t ads_filtered = 0;  ///< rejected by realm policy (§2.3)
+        std::uint64_t ads_refused = 0;   ///< new ids past kMaxRegistry
         std::uint64_t requests_received = 0;
         std::uint64_t duplicate_requests = 0;
         std::uint64_t acks_sent = 0;
@@ -153,6 +139,12 @@ public:
     /// or a field above the codec's length bound).
     void register_broker(BrokerAdvertisement ad);
 
+    /// Registry bound: an advertisement or sync entry for a new broker id
+    /// past this is refused (counted in `ads_refused`, never pinged), so
+    /// untrusted ads cannot grow BDN memory without limit. Renewals and
+    /// endpoint moves of known ids are always accepted.
+    static constexpr std::size_t kMaxRegistry = 65536;
+
     [[nodiscard]] std::size_t registered_count() const { return registry_.size(); }
     [[nodiscard]] std::vector<RegisteredBroker> registry() const;
     /// Registrations whose advertisement lease has lapsed but which have
@@ -220,10 +212,6 @@ private:
     void handle_advertisement(const BrokerAdvertisementView& view);
     [[nodiscard]] bool realm_accepted(std::string_view realm) const;
     void register_advertisement(const BrokerAdvertisement& ad);
-    /// Drop `endpoint`'s mapping when broker `id` leaves it (moves or is
-    /// evicted). Several ids may share an endpoint, the last to advertise
-    /// owning the mapping, so it goes only while it still names `id`.
-    void unmap_endpoint(const Endpoint& endpoint, const Uuid& id);
 
     /// The one request entry point. A sampled request opens the
     /// `bdn.request` span at receipt. Credential policy, dedup and (with
@@ -264,14 +252,14 @@ private:
     void send_ack(const Uuid& request_id, const Endpoint& reply_to);
     void send_ping(const Endpoint& broker);
 
-    /// Injection points for the configured strategy, best-effort ordered.
+    /// Injection points for the configured strategy, read off the
+    /// registry's RTT order.
     [[nodiscard]] std::vector<Endpoint> injection_targets();
-    /// The local registry's unexpired entries as injection candidates.
-    [[nodiscard]] std::vector<InjectionCandidate> local_candidates() const;
 
-    /// Spaced sends of a framed request to `targets`: each send costs the
-    /// configured per-injection processing time, and each pending send
-    /// shares ownership of `framed`.
+    /// Sends of a framed request to `targets`: inline when
+    /// `injection_spacing` is 0, otherwise spaced timers, each costing the
+    /// configured per-injection processing time and sharing ownership of
+    /// `framed`.
     void inject(std::shared_ptr<const Bytes> framed, const std::vector<Endpoint>& targets);
 
     void refresh_distances();
@@ -335,8 +323,9 @@ private:
     std::string name_;
     Rng rng_;
 
-    std::map<Uuid, RegisteredBroker> registry_;        // by broker_id
-    std::map<Endpoint, Uuid> endpoint_to_broker_;  // pong source -> registry entry
+    /// Entries by broker id, the pong-source endpoint map and the RTT
+    /// order, kept in lockstep.
+    BdnRegistry registry_{kMaxRegistry};
     broker::DedupCache seen_requests_{1000};
     std::unique_ptr<broker::PubSubClient> attachment_;
     TimerHandle refresh_timer_ = kInvalidTimerHandle;

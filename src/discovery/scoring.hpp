@@ -51,11 +51,17 @@ struct InjectionCandidate {
     Uuid broker_id;
     Endpoint endpoint;
     DurationUs rtt = -1;  ///< -1 = unmeasured (sorts after every measured RTT)
+
+    friend bool operator==(const InjectionCandidate&, const InjectionCandidate&) = default;
 };
 
 /// Apply a §4 injection strategy to `candidates`: stable-sort by RTT
 /// (unmeasured last, preserving arrival order) and pick the strategy's
-/// endpoints — closest+farthest, closest, one at random, or all.
+/// endpoints — closest+farthest, closest, one at random, or all. The
+/// scatter/gather coordinator applies it to its merged candidate list. A
+/// BDN's own registry keeps this order standing and reads the same targets
+/// off it (BdnRegistry::injection_targets); the differential test holds the
+/// two equal, draw for draw.
 std::vector<Endpoint> select_injection_targets(std::vector<InjectionCandidate> candidates,
                                                config::InjectionStrategy strategy, Rng& rng);
 

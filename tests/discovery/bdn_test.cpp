@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/kernel.hpp"
@@ -311,6 +314,116 @@ TEST_F(BdnFixture, DestroyedMidInjectionLeavesNoDanglingTimers) {
         kernel.run_until(kernel.now() + kSecond);
     }
     for (const auto& broker : brokers) EXPECT_EQ(broker->requests.size(), 2u);
+}
+
+/// Counts the timers a node arms and forwards them to the simulator.
+class CountingScheduler final : public Scheduler {
+public:
+    explicit CountingScheduler(Scheduler& inner) : inner_(inner) {}
+    TimerHandle schedule(DurationUs delay, std::function<void()> task) override {
+        ++scheduled;
+        return inner_.schedule(delay, std::move(task));
+    }
+    void cancel_timer(TimerHandle handle) override { inner_.cancel_timer(handle); }
+
+    std::size_t scheduled = 0;
+
+private:
+    Scheduler& inner_;
+};
+
+// At zero spacing the injections leave inside the request handler: a
+// request, sampled or not, arms no timer, and its inject span is closed.
+TEST_F(BdnFixture, ZeroSpacingInjectsInlineWithoutTimers) {
+    obs::SpanRecorder spans;
+    timesvc::FixedUtcSource utc(net.true_clock());
+    CountingScheduler timers(kernel);
+    config::BdnConfig cfg;
+    cfg.injection_spacing = 0;
+    Bdn bdn(timers, net, Endpoint{bdn_host, 7100}, net.host_clock(bdn_host), cfg);
+    bdn.set_observability(nullptr, &spans, &utc);
+    register_all(bdn, rng);
+    bdn.start();
+    kernel.run_until(kernel.now() + kSecond);  // distance table ready
+    Uuid sampled_trace;
+    for (const bool sampled : {false, true}) {
+        const std::size_t armed = timers.scheduled;
+        DiscoveryRequest req = make_request();
+        if (sampled) req.trace.trace_id = sampled_trace = Uuid::random(rng);
+        send_request(bdn, req);
+        kernel.run_until(kernel.now() + from_ms(100));
+        EXPECT_EQ(timers.scheduled, armed) << (sampled ? "sampled" : "unsampled");
+    }
+    // §4: closest (b0) and farthest (b2), once per request.
+    EXPECT_EQ(brokers[0]->requests.size(), 2u);
+    EXPECT_TRUE(brokers[1]->requests.empty());
+    EXPECT_EQ(brokers[2]->requests.size(), 2u);
+    EXPECT_EQ(bdn.stats().injections, 4u);
+    bool inject_span_closed = false;
+    for (const obs::SpanRecord& span : spans.trace(sampled_trace)) {
+        if (span.name == "bdn.inject") inject_span_closed = span.finished();
+    }
+    EXPECT_TRUE(inject_span_closed);
+}
+
+TEST_F(BdnFixture, RegistryCapRefusesNewIdsAndKeepsRenewals) {
+    // A flood of distinct broker ids past the cap: the registry and the
+    // endpoint map stop at the cap, every refusal is counted, a refused id
+    // costs no ping, and an admitted id still renews and moves.
+    struct PingCatcher final : transport::MessageHandler {
+        void on_datagram(const Endpoint&, const Bytes& data) override {
+            if (!data.empty() && data[0] == wire::kMsgPing) ++pings;
+        }
+        int pings = 0;
+    } catcher;
+    const HostId admitted_host = net.add_host({"flood-a", "S", "r", 0});
+    const HostId refused_host = net.add_host({"flood-b", "S", "r", 0});
+    constexpr std::size_t kRefused = 1000;
+    static_assert(Bdn::kMaxRegistry <= 65536, "one port per admitted id on one host");
+
+    Bdn bdn = make_bdn();
+    bdn.start();
+    BrokerAdvertisement first;
+    for (std::size_t i = 0; i < Bdn::kMaxRegistry + kRefused; ++i) {
+        const bool admitted = i < Bdn::kMaxRegistry;
+        const Endpoint ep = admitted
+                                ? Endpoint{admitted_host, static_cast<std::uint16_t>(i)}
+                                : Endpoint{refused_host,
+                                           static_cast<std::uint16_t>(i - Bdn::kMaxRegistry)};
+        if (!admitted) net.bind(ep, &catcher);
+        BrokerAdvertisement ad;
+        ad.broker_id = Uuid::random(rng);
+        ad.broker_name = "flood";
+        ad.endpoint = ep;
+        ad.realm = "r";
+        if (i == 0) first = ad;
+        bdn.register_broker(ad);
+    }
+    kernel.run_until(kernel.now() + kSecond);
+    EXPECT_EQ(bdn.registered_count(), Bdn::kMaxRegistry);
+    EXPECT_EQ(endpoint_map_size(bdn), Bdn::kMaxRegistry);
+    EXPECT_EQ(bdn.stats().ads_refused, kRefused);
+    EXPECT_EQ(bdn.stats().pings_sent, Bdn::kMaxRegistry);
+    EXPECT_EQ(catcher.pings, 0);
+    EXPECT_NE(bdn.debug_snapshot().find("\"ads_refused\":1000"), std::string::npos);
+
+    // A known id renews and moves at the cap.
+    first.broker_name = "renewed";
+    first.endpoint = Endpoint{refused_host, 4000};
+    bdn.register_broker(first);
+    EXPECT_EQ(bdn.stats().ads_refused, kRefused);
+    EXPECT_EQ(bdn.registered_count(), Bdn::kMaxRegistry);
+    EXPECT_EQ(endpoint_map_size(bdn), Bdn::kMaxRegistry);
+    const auto registry = bdn.registry();
+    const auto renewed = std::find_if(registry.begin(), registry.end(), [&](const auto& rb) {
+        return rb.ad.broker_id == first.broker_id;
+    });
+    ASSERT_NE(renewed, registry.end());
+    EXPECT_EQ(renewed->ad.broker_name, "renewed");
+    EXPECT_EQ(renewed->ad.endpoint, first.endpoint);
+    for (std::size_t i = 0; i < kRefused; ++i) {
+        net.unbind(Endpoint{refused_host, static_cast<std::uint16_t>(i)});
+    }
 }
 
 TEST_F(BdnFixture, AcksEveryRequestIncludingDuplicates) {

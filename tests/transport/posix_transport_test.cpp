@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -57,6 +58,34 @@ private:
     std::vector<Received> received_;
 };
 
+/// Values pushed by timers on the reactor and waited for on the test
+/// thread. Timers hold it by shared_ptr, so a notify still in progress on
+/// the reactor never reaches a destroyed condition variable.
+class Signal {
+public:
+    void push(int value) {
+        {
+            std::scoped_lock lock(mutex_);
+            values_.push_back(value);
+        }
+        cv_.notify_all();
+    }
+    bool wait_for(std::size_t count, int timeout_ms = 3000) {
+        std::unique_lock lock(mutex_);
+        return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                            [&] { return values_.size() >= count; });
+    }
+    std::vector<int> values() {
+        std::scoped_lock lock(mutex_);
+        return values_;
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::vector<int> values_;
+};
+
 struct PosixFixture : ::testing::Test {
     PosixFixture() {
         ep_a = {1, claim_test_port()};
@@ -65,8 +94,11 @@ struct PosixFixture : ::testing::Test {
         transport.bind(ep_b, &rx_b);
     }
 
-    PosixTransport transport;
+    // The recorders are declared first so they outlive the transport: its
+    // reactor may still be delivering to them until it is destroyed.
     Recorder rx_a, rx_b;
+    Recorder rx_spare;  ///< a handler to rebind to
+    PosixTransport transport;
     Endpoint ep_a, ep_b;
 };
 
@@ -141,16 +173,9 @@ TEST_F(PosixFixture, MulticastEmulation) {
 }
 
 TEST_F(PosixFixture, TimerFires) {
-    std::atomic<bool> fired{false};
-    std::mutex m;
-    std::condition_variable cv;
-    transport.schedule(from_ms(50), [&] {
-        fired = true;
-        cv.notify_all();
-    });
-    std::unique_lock lock(m);
-    cv.wait_for(lock, std::chrono::seconds(3), [&] { return fired.load(); });
-    EXPECT_TRUE(fired);
+    auto fired = std::make_shared<Signal>();
+    transport.schedule(from_ms(50), [fired] { fired->push(1); });
+    EXPECT_TRUE(fired->wait_for(1));
 }
 
 TEST_F(PosixFixture, TimerCancel) {
@@ -162,20 +187,12 @@ TEST_F(PosixFixture, TimerCancel) {
 }
 
 TEST_F(PosixFixture, TimerOrdering) {
-    std::mutex m;
-    std::condition_variable cv;
-    std::vector<int> order;
-    auto push = [&](int id) {
-        std::scoped_lock lock(m);
-        order.push_back(id);
-        cv.notify_all();
-    };
-    transport.schedule(from_ms(120), [&] { push(3); });
-    transport.schedule(from_ms(40), [&] { push(1); });
-    transport.schedule(from_ms(80), [&] { push(2); });
-    std::unique_lock lock(m);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(3), [&] { return order.size() == 3; }));
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    auto order = std::make_shared<Signal>();
+    transport.schedule(from_ms(120), [order] { order->push(3); });
+    transport.schedule(from_ms(40), [order] { order->push(1); });
+    transport.schedule(from_ms(80), [order] { order->push(2); });
+    ASSERT_TRUE(order->wait_for(3));
+    EXPECT_EQ(order->values(), (std::vector<int>{1, 2, 3}));
 }
 
 TEST_F(PosixFixture, UnbindStopsDelivery) {
@@ -186,11 +203,10 @@ TEST_F(PosixFixture, UnbindStopsDelivery) {
 }
 
 TEST_F(PosixFixture, RebindReplacesHandlerAndKeepsSockets) {
-    Recorder replacement;
-    transport.bind(ep_b, &replacement);
+    transport.bind(ep_b, &rx_spare);
     transport.send_datagram(ep_a, ep_b, Bytes{7});
-    ASSERT_TRUE(replacement.wait_for(1));
-    EXPECT_EQ(replacement.snapshot()[0].data, (Bytes{7}));
+    ASSERT_TRUE(rx_spare.wait_for(1));
+    EXPECT_EQ(rx_spare.snapshot()[0].data, (Bytes{7}));
     EXPECT_TRUE(rx_b.snapshot().empty());
 }
 
