@@ -1,36 +1,18 @@
-// UDP datapath throughput: the seed's loop shape vs. the epoll/mmsg
-// datapath, measured over real loopback sockets (ISSUE PR 4 acceptance
-// gate: >= 2x datagrams/sec at 64 B and 1 KiB payloads).
+// UDP datapath throughput of the shipping PosixTransport over real loopback
+// sockets: pooled encode buffers (acquire_buffer), per-socket send rings
+// drained with sendmmsg + UDP GSO, recvmmsg + UDP GRO into a reused slab,
+// zero steady-state allocations (see test_datapath_alloc for the
+// allocation proof; this bench measures rate).
 //
-// The "legacy" side reproduces the pre-change datapath faithfully, in-bench
-// (the real code was rewritten, so the baseline lives here):
-//   * send: one ::sendto per datagram, payload constructed per message;
-//   * receive: ::poll over a pollfd set rebuilt from the binding maps under
-//     the mutex every iteration, then one ::recvfrom per datagram into a
-//     stack slab, a fresh heap copy per packet (`Bytes(buffer, buffer+n)`),
-//     and a mutex-guarded port->endpoint lookup per packet — exactly the
-//     seed's handle_udp_readable.
-//
-// The "batched" side is the shipping PosixTransport: pooled encode buffers
-// (acquire_buffer), per-socket send rings drained with sendmmsg + UDP GSO,
-// recvmmsg + UDP GRO into a reused slab, zero steady-state allocations (see
-// test_datapath_alloc for the allocation proof; this bench proves rate).
-//
-// Workload shape: each side sprays from its best faithful vantage point.
-// The batched sender runs as a zero-delay timer on the transport's loop
-// thread — where protocol traffic originates in the real stack (brokers
-// and BDNs send from on_datagram and timer callbacks) — so bursts
-// accumulate in the send ring and leave in sendmmsg/GSO batches. The
-// legacy sender sprays from the caller thread, the seed's natural fast
-// path: its send_datagram was a direct ::sendto from whatever thread
-// called it, and driving it from its timer heap instead would be slower
-// still (the seed's `us/1000 + 1` poll rounding parks a due timer for a
-// millisecond). Both pacers keep at most kWindow datagrams outstanding and
-// forgive the balance after a stall so kernel drops cannot wedge the
-// window shut; unpaced spraying would overflow the socket buffer and
-// measure scheduler noise, not the datapath. Delivered datagrams/sec then
-// measures the end-to-end per-packet CPU cost, which is exactly what the
-// epoll/mmsg/GSO rework reduces.
+// Workload shape: the sender runs as a zero-delay timer on the transport's
+// loop thread — where protocol traffic originates in the real stack
+// (brokers and BDNs send from on_datagram and timer callbacks) — so bursts
+// accumulate in the send ring and leave in sendmmsg/GSO batches. The pacer
+// keeps at most kWindow datagrams outstanding and forgives the balance
+// after a stall so kernel drops cannot wedge the window shut; unpaced
+// spraying would overflow the socket buffer and measure scheduler noise,
+// not the datapath. Delivered datagrams/sec then measures the end-to-end
+// per-packet CPU cost.
 //
 // The sharded section sweeps the same credit-paced spray over a
 // ShardRuntime at several reactor counts (--shards, default {1,2,4,8}):
@@ -47,21 +29,14 @@
 // BENCH_transport.json in the working directory — the repo's perf
 // trajectory record; CI uploads it from the bench-smoke job and validates
 // the shard_sweep schema.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,13 +54,11 @@ constexpr int kSprayMs = 400;              // measurement window per run
 constexpr int kWarmupMs = 50;              // pools/rings/caches settle
 constexpr std::uint64_t kWindow = 128;     // max datagrams in flight
 constexpr auto kStallTimeout = std::chrono::milliseconds(2);
-constexpr std::size_t kMaxDatagram = 64 * 1024;
+constexpr std::size_t kEndpoints = 8;      // 5 brokers + BDN + client + NTP
 
 struct PathSample {
     double dps = 0;        ///< delivered datagrams/sec
     double cpu_cores = 0;  ///< process CPU-seconds per wall-second over the window
-    std::uint64_t sent = 0;
-    std::uint64_t received = 0;
 };
 
 /// Process CPU time (user + system, every thread) — deltas over a
@@ -140,211 +113,12 @@ PathSample measure_window(int spray_ms, const std::function<std::uint64_t()>& re
     const double cpu_used = cpu_seconds() - cpu_base;
     const double elapsed = std::chrono::duration<double>(SteadyClock::now() - start).count();
     PathSample sample;
-    sample.received = delivered;
     sample.dps = static_cast<double>(delivered) / elapsed;
     sample.cpu_cores = cpu_used / elapsed;
     return sample;
 }
 
-/// Caller-thread spray (the legacy sender): tick the pacer in a tight loop
-/// for kWarmupMs + spray_ms, yielding when the window is full, and measure
-/// deliveries over the post-warmup stretch.
-PathSample caller_spray(int spray_ms, const std::function<std::uint64_t()>& received,
-                        const std::function<void(std::uint64_t seq)>& send_one) {
-    Pacer pacer;
-    const auto warm_end = SteadyClock::now() + std::chrono::milliseconds(kWarmupMs);
-    while (SteadyClock::now() < warm_end) {
-        pacer.tick(received(), send_one);
-        std::this_thread::yield();
-    }
-    const std::uint64_t base = received();
-    const double cpu_base = cpu_seconds();
-    const auto start = SteadyClock::now();
-    const auto deadline = start + std::chrono::milliseconds(spray_ms);
-    while (SteadyClock::now() < deadline) {
-        pacer.tick(received(), send_one);
-        // Yield instead of sleeping: on small machines the receiver is a
-        // sibling thread on the same core, and a timed sleep would put its
-        // latency on every window turnaround.
-        std::this_thread::yield();
-    }
-    const double cpu_used = cpu_seconds() - cpu_base;
-    const double elapsed = std::chrono::duration<double>(SteadyClock::now() - start).count();
-    PathSample sample;
-    sample.sent = pacer.sent;
-    sample.received = received() - base;
-    sample.dps = static_cast<double>(sample.received) / elapsed;
-    sample.cpu_cores = cpu_used / elapsed;
-    return sample;
-}
-
-// --- Legacy datapath (the seed's transport, reproduced in-bench) ---------
-//
-// Both sides of the comparison run a loopback discovery plane's process
-// shape: kEndpoints bound endpoints (each a UDP socket plus a TCP listener, as
-// the transport always creates), traffic flowing between two of them. The
-// seed's loop pays for every binding on every iteration — it rebuilds the
-// pollfd/kind/owner vectors from the binding and connection maps under the
-// mutex, polls the full fd set, and linearly scans the results — which is
-// precisely the O(sockets) tax the epoll reactor's fd->handler table
-// removes.
-
-constexpr std::size_t kEndpoints = 8;  // 5 brokers + BDN + client + NTP
-
-struct LegacyBinding {
-    Endpoint endpoint;
-    int udp_fd = -1;
-    int listen_fd = -1;
-};
-
-int legacy_udp_socket(std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-        std::perror("bench: legacy udp bind");
-        std::exit(1);
-    }
-    return fd;
-}
-
-int legacy_listen_socket(std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    const int reuse = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-        std::perror("bench: legacy tcp bind");
-        std::exit(1);
-    }
-    return fd;
-}
-
-PathSample legacy_rate(std::size_t payload_size, int spray_ms) {
-    std::mutex mutex;  // the seed's transport mutex
-    std::map<Endpoint, LegacyBinding> bindings;
-    std::map<std::uint16_t, Endpoint> port_to_endpoint;
-
-    std::uint16_t probe = 46000;
-    for (std::size_t i = 0; i < kEndpoints; ++i) {
-        probe = transport::PosixTransport::find_free_port(probe);
-        LegacyBinding b;
-        b.endpoint = Endpoint{static_cast<HostId>(i + 1), probe};
-        b.udp_fd = legacy_udp_socket(probe);
-        b.listen_fd = legacy_listen_socket(probe);
-        port_to_endpoint[probe] = b.endpoint;
-        bindings[b.endpoint] = b;
-        ++probe;
-    }
-    const Endpoint tx_ep = bindings.begin()->second.endpoint;
-    const Endpoint rx_ep = std::next(bindings.begin())->second.endpoint;
-    const int rx_udp_fd = bindings[rx_ep].udp_fd;
-
-    int wake_pipe[2] = {-1, -1};
-    if (::pipe(wake_pipe) != 0) std::exit(1);
-
-    sockaddr_in dst{};
-    dst.sin_family = AF_INET;
-    dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    dst.sin_port = htons(rx_ep.port);
-
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<bool> stop{false};
-    std::thread loop([&] {
-        // The seed's loop(), minus timers: per iteration it re-derives the
-        // full pollfd set from the maps under the mutex, then scans the
-        // poll results.
-        enum class Kind : std::uint8_t { kWake, kUdp, kListen };
-        std::uint8_t buffer[kMaxDatagram];
-        std::uint64_t consumed = 0;  // keeps the per-packet copy observable
-        while (!stop.load(std::memory_order_relaxed)) {
-            std::vector<pollfd> fds;
-            std::vector<Kind> kinds;
-            std::vector<Endpoint> owners;
-            {
-                std::scoped_lock lock(mutex);
-                fds.push_back({wake_pipe[0], POLLIN, 0});
-                kinds.push_back(Kind::kWake);
-                owners.push_back(Endpoint{});
-                for (const auto& [ep, binding] : bindings) {
-                    fds.push_back({binding.udp_fd, POLLIN, 0});
-                    kinds.push_back(Kind::kUdp);
-                    owners.push_back(ep);
-                    fds.push_back({binding.listen_fd, POLLIN, 0});
-                    kinds.push_back(Kind::kListen);
-                    owners.push_back(ep);
-                }
-            }
-            const int ready = ::poll(fds.data(), fds.size(), 1);
-            if (ready <= 0) continue;
-            for (std::size_t i = 0; i < fds.size(); ++i) {
-                if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-                if (kinds[i] != Kind::kUdp) continue;
-                int udp_fd = -1;
-                {
-                    std::scoped_lock lock(mutex);
-                    const auto it = bindings.find(owners[i]);
-                    if (it != bindings.end()) udp_fd = it->second.udp_fd;
-                }
-                if (udp_fd < 0) continue;
-                while (true) {
-                    sockaddr_in src{};
-                    socklen_t src_len = sizeof(src);
-                    const ssize_t n =
-                        ::recvfrom(udp_fd, buffer, sizeof(buffer), 0,
-                                   reinterpret_cast<sockaddr*>(&src), &src_len);
-                    if (n < 0) break;  // EWOULDBLOCK: drained
-                    Endpoint from{0, ntohs(src.sin_port)};
-                    {
-                        std::scoped_lock lock(mutex);
-                        const auto pit = port_to_endpoint.find(from.port);
-                        if (pit != port_to_endpoint.end()) from = pit->second;
-                    }
-                    const Bytes delivered(buffer, buffer + n);  // per-packet copy
-                    consumed += delivered.size() + from.port;
-                    if (udp_fd == rx_udp_fd) {
-                        received.fetch_add(1, std::memory_order_relaxed);
-                    }
-                }
-            }
-        }
-        if (consumed == 0) std::printf("legacy receiver: nothing consumed\n");
-    });
-
-    const PathSample sample = caller_spray(
-        spray_ms, [&] { return received.load(std::memory_order_relaxed); },
-        [&](std::uint64_t seq) {
-            // Payload construction per message, binding lookup under the
-            // mutex, one sendto per message — the seed's send_datagram.
-            const Bytes payload(payload_size, static_cast<std::uint8_t>(seq));
-            int fd = -1;
-            {
-                std::scoped_lock lock(mutex);
-                const auto it = bindings.find(tx_ep);
-                if (it != bindings.end()) fd = it->second.udp_fd;
-            }
-            (void)::sendto(fd, payload.data(), payload.size(), 0,
-                           reinterpret_cast<const sockaddr*>(&dst), sizeof(dst));
-        });
-
-    stop.store(true, std::memory_order_relaxed);
-    loop.join();
-    for (auto& [ep, b] : bindings) {
-        ::close(b.udp_fd);
-        ::close(b.listen_fd);
-    }
-    ::close(wake_pipe[0]);
-    ::close(wake_pipe[1]);
-    return sample;
-}
-
-// --- Batched datapath (the shipping PosixTransport) ----------------------
+// --- Single reactor --------------------------------------------------------
 
 class CountingSink final : public transport::MessageHandler {
 public:
@@ -367,7 +141,6 @@ PathSample batched_rate(std::size_t payload_size, int spray_ms,
     CountingSink noop;
     CountingSink sink;
     Pacer pacer;  // loop-thread only after the first schedule()
-    std::atomic<std::uint64_t> sent_published{0};
     std::atomic<bool> stop{false};
     std::vector<Endpoint> endpoints;
     std::function<void()> tick;
@@ -379,9 +152,9 @@ PathSample batched_rate(std::size_t payload_size, int spray_ms,
     transport::PosixTransport transport(options);
     transport.set_observability(&registry, "bench");
 
-    // Same process shape as the legacy measurement: kEndpoints bound
-    // endpoints, traffic between the first two. The reactor's fd table
-    // makes the idle ones free; the seed's loop paid for them every wake.
+    // A loopback discovery plane's process shape: kEndpoints bound
+    // endpoints (each a UDP socket plus a TCP listener), traffic between
+    // the first two. The reactor's fd table makes the idle ones free.
     std::uint16_t probe = 46500;
     for (std::size_t i = 0; i < kEndpoints; ++i) {
         probe = transport::PosixTransport::find_free_port(probe);
@@ -405,14 +178,12 @@ PathSample batched_rate(std::size_t payload_size, int spray_ms,
             buf.resize(payload_size, static_cast<std::uint8_t>(seq));
             transport.send_datagram(a, b, std::move(buf));
         });
-        sent_published.store(pacer.sent, std::memory_order_relaxed);
         transport.schedule(0, tick);  // a copy holding only references
     };
     transport.schedule(0, tick);
 
-    PathSample sample = measure_window(spray_ms, [&] { return sink.received(); });
+    const PathSample sample = measure_window(spray_ms, [&] { return sink.received(); });
     stop.store(true, std::memory_order_relaxed);
-    sample.sent = sent_published.load(std::memory_order_relaxed);
     return sample;  // transport dtor joins the loop before locals go away
 }
 
@@ -481,7 +252,6 @@ PathSample sharded_rate(std::size_t nshards, std::size_t payload_size, int spray
         });
         stop.store(true, std::memory_order_relaxed);
     }  // runtime dtor joins every reactor thread before the pacers go away
-    for (const Shard& sh : shards) sample.sent += sh.pacer.sent;
     return sample;
 }
 
@@ -527,13 +297,9 @@ ShardPoints parse_shards(int argc, char** argv, std::size_t hw_cores) {
 
 struct PayloadResult {
     std::size_t payload_bytes = 0;
-    double legacy_dps = 0;   ///< best run
     double batched_dps = 0;  ///< best run
-    double legacy_mean = 0;
     double batched_mean = 0;
-    double legacy_cpu = 0;   ///< CPU cores of the best run
     double batched_cpu = 0;  ///< CPU cores of the best run
-    double speedup = 0;      ///< best/best
 };
 
 struct ShardResult {
@@ -554,48 +320,32 @@ int main(int argc, char** argv) {
 
     std::vector<PayloadResult> results;
     for (const std::size_t payload : {std::size_t{64}, std::size_t{1024}}) {
-        SampleSet legacy_dps, batched_dps;
+        SampleSet batched_dps;
         PayloadResult r;
         r.payload_bytes = payload;
         for (int run = 0; run < kRuns; ++run) {
-            const PathSample legacy = legacy_rate(payload, kSprayMs);
             const PathSample batched = batched_rate(payload, kSprayMs, registry);
-            legacy_dps.add(legacy.dps);
             batched_dps.add(batched.dps);
-            if (legacy.dps > r.legacy_dps) {
-                r.legacy_dps = legacy.dps;
-                r.legacy_cpu = legacy.cpu_cores;
-            }
             if (batched.dps > r.batched_dps) {
                 r.batched_dps = batched.dps;
                 r.batched_cpu = batched.cpu_cores;
             }
         }
-        r.legacy_mean = legacy_dps.mean();
         r.batched_mean = batched_dps.mean();
-        r.speedup = r.legacy_dps > 0 ? r.batched_dps / r.legacy_dps : 0;
         results.push_back(r);
     }
 
-    bench::print_heading("UDP throughput: seed loop vs. epoll + mmsg + GSO datapath");
-    std::printf("%-10s %16s %16s %9s %16s\n", "payload", "legacy kdps", "batched kdps",
-                "speedup", "cpu (leg/bat)");
+    bench::print_heading("UDP throughput: epoll + mmsg + GSO datapath, one reactor");
+    std::printf("%-10s %12s %12s %10s\n", "payload", "best kdps", "mean kdps", "cpu cores");
     for (const PayloadResult& r : results) {
-        std::printf("%7zu B %9.1f (best) %9.1f (best) %8.2fx %7.2f /%5.2f\n",
-                    r.payload_bytes, r.legacy_dps / 1e3, r.batched_dps / 1e3, r.speedup,
-                    r.legacy_cpu, r.batched_cpu);
-        std::printf("%10s %9.1f (mean) %9.1f (mean)\n", "", r.legacy_mean / 1e3,
-                    r.batched_mean / 1e3);
+        std::printf("%7zu B %12.1f %12.1f %10.2f\n", r.payload_bytes, r.batched_dps / 1e3,
+                    r.batched_mean / 1e3, r.batched_cpu);
         bench::print_json_record(
             "transport_throughput",
             {{"payload_bytes", static_cast<double>(r.payload_bytes)},
-             {"legacy_kdps", r.legacy_dps / 1e3},
              {"batched_kdps", r.batched_dps / 1e3},
-             {"legacy_mean_kdps", r.legacy_mean / 1e3},
              {"batched_mean_kdps", r.batched_mean / 1e3},
-             {"legacy_cpu_cores", r.legacy_cpu},
-             {"batched_cpu_cores", r.batched_cpu},
-             {"speedup", r.speedup}});
+             {"batched_cpu_cores", r.batched_cpu}});
     }
 
     // The shard sweep: aggregate 64 B throughput over the reactor group at
@@ -658,13 +408,9 @@ int main(int argc, char** argv) {
         for (const PayloadResult& r : results) {
             w.begin_object()
                 .field("payload_bytes", static_cast<std::uint64_t>(r.payload_bytes))
-                .field("legacy_dps", r.legacy_dps, 1)
                 .field("batched_dps", r.batched_dps, 1)
-                .field("legacy_mean_dps", r.legacy_mean, 1)
                 .field("batched_mean_dps", r.batched_mean, 1)
-                .field("legacy_cpu_cores", r.legacy_cpu, 3)
                 .field("batched_cpu_cores", r.batched_cpu, 3)
-                .field("speedup", r.speedup, 3)
                 .end_object();
         }
         w.end_array().key("shard_sweep").begin_array();
@@ -694,21 +440,7 @@ int main(int argc, char** argv) {
 
     bench::print_metrics_snapshot(registry);
 
-    // Regression guard: the acceptance target is 2x; gate the exit code at
-    // a lower bar so a noisy shared runner cannot flake the CI job, while a
-    // real datapath regression still fails it.
     bool ok = true;
-    for (const PayloadResult& r : results) {
-        if (r.speedup < 1.2) {
-            std::printf("FAIL: %zu B speedup %.2fx below the 1.2x regression gate\n",
-                        r.payload_bytes, r.speedup);
-            ok = false;
-        } else if (r.speedup < 2.0) {
-            std::printf("warn: %zu B speedup %.2fx below the 2x target\n",
-                        r.payload_bytes, r.speedup);
-        }
-    }
-
     // Shard-scaling guard: the acceptance target is >= 3x aggregate at 4
     // shards vs. 1 on a >= 4-core machine; gate the exit code at 2x so a
     // noisy shared runner cannot flake CI, skip entirely on small machines

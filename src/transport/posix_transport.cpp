@@ -7,6 +7,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -45,6 +46,10 @@ constexpr std::uint32_t kMaxFrame = 16 * 1024 * 1024;
 /// Compact a TCP rx buffer once this much consumed prefix accumulates
 /// (until then parsing advances rx_head with no memmove at all).
 constexpr std::size_t kRxCompactThreshold = 64 * 1024;
+
+/// The transport whose loop runs on this thread (stamped at loop start):
+/// calls made from its handlers and timers need no wake-up.
+thread_local const PosixTransport* tls_loop_owner = nullptr;
 
 void set_nonblocking(int fd) {
     const int flags = fcntl(fd, F_GETFL, 0);
@@ -149,16 +154,24 @@ PosixTransport::PosixTransport(PosixTransportOptions options)
     if (epoll_fd_ < 0) {
         throw std::system_error(errno, std::generic_category(), "epoll_create1");
     }
-    if (pipe(wake_pipe_) != 0) {
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) {
         const int saved = errno;
         ::close(epoll_fd_);
-        throw std::system_error(saved, std::generic_category(), "pipe");
+        throw std::system_error(saved, std::generic_category(), "eventfd");
     }
-    set_nonblocking(wake_pipe_[0]);
-    set_nonblocking(wake_pipe_[1]);
     scratch_ = std::make_unique<IoScratch>(options_.udp_batch);
-    fd_table_[wake_pipe_[0]] = FdEntry{FdKind::kWake, {}};
-    epoll_register(wake_pipe_[0]);
+    // The loop waits with epoll_pwait2 (Linux 5.11): refuse to start on a
+    // kernel without it rather than spin on ENOSYS.
+    const timespec zero{};
+    if (::epoll_pwait2(epoll_fd_, scratch_->events.data(), 1, &zero, nullptr) < 0 &&
+        errno == ENOSYS) {
+        ::close(wake_fd_);
+        ::close(epoll_fd_);
+        throw std::system_error(ENOSYS, std::generic_category(), "epoll_pwait2");
+    }
+    fd_table_[wake_fd_] = FdEntry{FdKind::kWake, {}};
+    epoll_register(wake_fd_);
     loop_thread_ = std::thread([this] { loop(); });
 }
 
@@ -172,8 +185,7 @@ PosixTransport::~PosixTransport() {
         if (binding.listen_fd >= 0) ::close(binding.listen_fd);
     }
     for (auto& [fd, conn] : tcp_conns_) ::close(fd);
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
+    ::close(wake_fd_);
     ::close(epoll_fd_);
 }
 
@@ -184,8 +196,12 @@ TimeUs PosixTransport::wall_now() {
 }
 
 void PosixTransport::wake() {
-    const char byte = 'w';
-    (void)!::write(wake_pipe_[1], &byte, 1);
+    // The loop drains the dirty lists at the end of every iteration and
+    // recomputes its timeout at the top, so its own thread never wakes it.
+    if (tls_loop_owner == this) return;
+    if (inst_.wakeups) inst_.wakeups->inc();
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
 void PosixTransport::epoll_register(int fd, bool want_write) {
@@ -790,11 +806,16 @@ void PosixTransport::handle_tcp_readable(int fd) {
             return;
         }
         if (n < 0) break;  // drained (EWOULDBLOCK) or transient error
-        std::scoped_lock lock(mutex_);
-        const auto it = tcp_conns_.find(fd);
-        if (it == tcp_conns_.end()) return;
-        Bytes& rx = it->second->rx_buffer;
-        rx.insert(rx.end(), s.tcp_read_buf, s.tcp_read_buf + n);
+        {
+            std::scoped_lock lock(mutex_);
+            const auto it = tcp_conns_.find(fd);
+            if (it == tcp_conns_.end()) return;
+            Bytes& rx = it->second->rx_buffer;
+            rx.insert(rx.end(), s.tcp_read_buf, s.tcp_read_buf + n);
+        }
+        // A short read emptied the socket. Level-triggered epoll reports
+        // whatever arrives later (the peer's close too), so no read to EAGAIN.
+        if (static_cast<std::size_t>(n) < sizeof(s.tcp_read_buf)) break;
     }
 
     // Extract complete frames. Parsing advances rx_head; the buffer is only
@@ -871,9 +892,11 @@ void PosixTransport::loop() {
         CPU_SET(static_cast<unsigned>(options_.pin_cpu), &set);
         (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
     }
-    // Runs before the first epoll_wait, so it precedes every timer and
-    // handler this loop will ever invoke.
+    // Runs before the first wait, so it precedes every timer and handler
+    // this loop will ever invoke. The owner is stamped after it: anything
+    // the hook queues wakes the first wait.
     if (options_.loop_start) options_.loop_start();
+    tls_loop_owner = this;
     while (running_) {
         DurationUs timeout_us = 100 * kMillisecond;  // idle tick
         {
@@ -882,14 +905,13 @@ void PosixTransport::loop() {
                 timeout_us = std::max<DurationUs>(0, timers_.front().deadline - wall_now());
             }
         }
-        // A due timer must not park the loop: the seed's `us/1000 + 1`
-        // rounding put a 1 ms bubble on every already-due deadline.
-        const int timeout_ms =
-            timeout_us <= 0
-                ? 0
-                : static_cast<int>(std::min<DurationUs>(timeout_us / 1000 + 1, 1000));
-        const int nev = ::epoll_wait(epoll_fd_, s.events.data(),
-                                     static_cast<int>(s.events.size()), timeout_ms);
+        // The wait ends at the earliest deadline itself, not at the next
+        // whole millisecond past it.
+        timeout_us = std::min<DurationUs>(timeout_us, kSecond);
+        const timespec timeout{static_cast<time_t>(timeout_us / kSecond),
+                               static_cast<long>(timeout_us % kSecond * 1000)};
+        const int nev = ::epoll_pwait2(epoll_fd_, s.events.data(),
+                                       static_cast<int>(s.events.size()), &timeout, nullptr);
         if (!running_) break;
 
         // Fire timers due as of this instant (outside the wait, outside the
@@ -922,9 +944,8 @@ void PosixTransport::loop() {
             }
             switch (entry.kind) {
                 case FdKind::kWake: {
-                    char drain[64];
-                    while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-                    }
+                    std::uint64_t wakes = 0;  // one read resets the counter
+                    (void)!::read(wake_fd_, &wakes, sizeof(wakes));
                     break;
                 }
                 case FdKind::kUdp:
@@ -950,6 +971,10 @@ void PosixTransport::loop() {
             std::scoped_lock lock(mutex_);
             s.udp_work.swap(dirty_udp_);
             s.tcp_work.swap(dirty_tcp_);
+            // A binding or connection sits on a dirty list at most once, so
+            // lists reserved to the containers' sizes never grow on a send.
+            dirty_udp_.reserve(bindings_.size());
+            dirty_tcp_.reserve(tcp_conns_.size());
         }
         for (const Endpoint& ep : s.udp_work) drain_udp(ep);
         if (!s.tcp_work.empty()) {
@@ -988,6 +1013,7 @@ void PosixTransport::set_observability(obs::MetricsRegistry* metrics, const std:
     inst_.syscalls_send = &metrics->counter("transport_syscalls_send", node);
     inst_.eagain_stalls = &metrics->counter("transport_eagain_stalls", node);
     inst_.udp_backlog_dropped = &metrics->counter("transport_udp_backlog_dropped", node);
+    inst_.wakeups = &metrics->counter("transport_wakeups", node);
     inst_.recv_batch = &metrics->histogram("transport_recv_batch", node, obs::batch_buckets());
     inst_.send_batch = &metrics->histogram("transport_send_batch", node, obs::batch_buckets());
     pool_.set_instruments(&metrics->counter("transport_pool_hits", node),

@@ -25,8 +25,13 @@
 // are serialized exactly as on the simulator's virtual-time kernel —
 // protocol objects need no locks. send_* and schedule() may be called from
 // any thread (including from within callbacks): they enqueue under the
-// transport mutex and wake the loop only on an empty -> non-empty queue
-// transition, so a burst of sends costs one pipe write, not one per send.
+// transport mutex. The loop never wakes itself: it drains the send queues
+// at the end of every iteration and takes its wait from the timer heap at
+// the top, so a call from a handler or timer writes nothing. Another thread
+// wakes it through one eventfd: once per schedule(), and once per empty ->
+// non-empty send-queue transition, so a burst of sends costs one write.
+// The wait ends exactly at the earliest deadline (epoll_pwait2), and a TCP
+// drain ends at the first short read.
 #pragma once
 
 #include <atomic>
@@ -215,6 +220,7 @@ private:
     struct IoScratch;
 
     void loop();
+    /// Wake the loop from another thread; a no-op on the loop's own thread.
     void wake();
     /// epoll_ctl wrappers (fd_table_ entries are managed by the callers,
     /// under the same mutex_ hold as the owning container update).
@@ -266,7 +272,7 @@ private:
     bool gso_ok_ = false;
 
     int epoll_fd_ = -1;
-    int wake_pipe_[2] = {-1, -1};
+    int wake_fd_ = -1;  ///< eventfd: one write wakes, one read drains
     std::atomic<bool> running_{true};
     std::unique_ptr<IoScratch> scratch_;  // loop-thread only
     std::thread loop_thread_;
@@ -282,6 +288,7 @@ private:
         obs::Counter* syscalls_send = nullptr;   ///< sendmmsg/send calls
         obs::Counter* eagain_stalls = nullptr;   ///< kernel pushed back; EPOLLOUT armed
         obs::Counter* udp_backlog_dropped = nullptr;
+        obs::Counter* wakeups = nullptr;         ///< eventfd writes from other threads
         obs::Histogram* recv_batch = nullptr;    ///< datagrams per recvmmsg
         obs::Histogram* send_batch = nullptr;    ///< datagrams per sendmmsg
     } inst_;

@@ -3,15 +3,22 @@
 // stay robust on loaded CI machines.
 #include "transport/posix_transport.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "test_ports.hpp"
 
 namespace narada::transport {
@@ -86,21 +93,63 @@ private:
     std::vector<int> values_;
 };
 
+/// Runs a test-supplied action for each datagram, on the reactor thread.
+class Hook final : public MessageHandler {
+public:
+    std::function<void(const Endpoint& from, const Bytes& data)> action;
+    void on_datagram(const Endpoint& from, const Bytes& data) override { action(from, data); }
+};
+
 struct PosixFixture : ::testing::Test {
     PosixFixture() {
+        // Before any bind: the reactor reads the instrument pointers
+        // unsynchronized once sockets are live.
+        transport.set_observability(&metrics, "posix");
         ep_a = {1, claim_test_port()};
         ep_b = {2, claim_test_port()};
         transport.bind(ep_a, &rx_a);
         transport.bind(ep_b, &rx_b);
     }
 
-    // The recorders are declared first so they outlive the transport: its
-    // reactor may still be delivering to them until it is destroyed.
+    /// Eventfd writes so far: the times another thread woke the loop.
+    std::uint64_t wakeups() { return metrics.counter("transport_wakeups", "posix").value(); }
+
+    // The handlers and the registry are declared first so they outlive the
+    // transport: its reactor may still be using them until it is destroyed.
     Recorder rx_a, rx_b;
     Recorder rx_spare;  ///< a handler to rebind to
+    Hook hook_a, hook_b;  ///< handlers whose action a test supplies
+    obs::MetricsRegistry metrics;
     PosixTransport transport;
     Endpoint ep_a, ep_b;
 };
+
+/// Connect a raw blocking TCP socket to a bound endpoint's listener.
+int raw_tcp_connect(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/// Append one u32 length-prefixed frame to `out`.
+void append_frame(Bytes& out, const Bytes& payload) {
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    for (const int shift : {24, 16, 8, 0}) out.push_back(static_cast<std::uint8_t>(len >> shift));
+    out.insert(out.end(), payload.begin(), payload.end());
+}
+
+std::int64_t elapsed_us(std::chrono::steady_clock::time_point since) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - since)
+        .count();
+}
 
 TEST_F(PosixFixture, DatagramDelivery) {
     transport.send_datagram(ep_a, ep_b, Bytes{1, 2, 3});
@@ -223,6 +272,106 @@ TEST_F(PosixFixture, ReliableToDeadEndpointDoesNotCrash) {
     transport.send_datagram(ep_a, nobody, Bytes{1});
     // Nothing to assert beyond "no crash / no hang".
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+// --- Wake-ups and drains ------------------------------------------------------
+
+TEST_F(PosixFixture, HandlerPingPongWakesTheLoopOnce) {
+    // Only the kick comes from another thread. Every later hop is a send
+    // from a handler, which the loop drains at the end of its iteration
+    // without waking itself.
+    constexpr int kRoundTrips = 50;
+    auto hops_left = std::make_shared<int>(2 * kRoundTrips);  // reactor-only
+    auto done = std::make_shared<Signal>();
+    const auto bounce = [this, hops_left, done](Endpoint self) {
+        return [this, hops_left, done, self](const Endpoint& from, const Bytes& data) {
+            if (--*hops_left > 0) {
+                transport.send_datagram(self, from, Bytes(data));
+            } else {
+                done->push(1);
+            }
+        };
+    };
+    hook_a.action = bounce(ep_a);
+    hook_b.action = bounce(ep_b);
+    transport.bind(ep_a, &hook_a);
+    transport.bind(ep_b, &hook_b);
+
+    const std::uint64_t before = wakeups();
+    transport.send_datagram(ep_a, ep_b, Bytes{1});
+    ASSERT_TRUE(done->wait_for(1, 5000));
+    EXPECT_EQ(wakeups() - before, 1u);
+}
+
+TEST_F(PosixFixture, ScheduleFromHandlerRunsBeforeTheIdleTick) {
+    // A zero-delay timer armed in a handler writes no wake-up: the loop
+    // takes its next wait from the timer heap, so the task runs on the
+    // next pass instead of after the 100 ms idle wait.
+    auto waited_us = std::make_shared<Signal>();
+    hook_b.action = [this, waited_us](const Endpoint&, const Bytes&) {
+        const auto armed = std::chrono::steady_clock::now();
+        transport.schedule(0, [waited_us, armed] {
+            waited_us->push(static_cast<int>(elapsed_us(armed)));
+        });
+    };
+    transport.bind(ep_b, &hook_b);
+    transport.send_datagram(ep_a, ep_b, Bytes{1});
+    ASSERT_TRUE(waited_us->wait_for(1));
+    EXPECT_LT(waited_us->values()[0], 50'000);
+}
+
+TEST_F(PosixFixture, CrossThreadSendAndScheduleWakeAnIdleLoop) {
+    // Other threads still wake the loop out of its idle wait: once for the
+    // send's empty -> non-empty queue, once for the schedule.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t before = wakeups();
+    auto start = std::chrono::steady_clock::now();
+    transport.send_datagram(ep_a, ep_b, Bytes{1});
+    ASSERT_TRUE(rx_b.wait_for(1));
+    EXPECT_LT(elapsed_us(start), 50'000);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto fired = std::make_shared<Signal>();
+    start = std::chrono::steady_clock::now();
+    transport.schedule(0, [fired] { fired->push(1); });
+    ASSERT_TRUE(fired->wait_for(1));
+    EXPECT_LT(elapsed_us(start), 50'000);
+    EXPECT_EQ(wakeups() - before, 2u);
+}
+
+TEST_F(PosixFixture, FramesBeforePeerCloseArriveWholeThenConnectionCloses) {
+    // A raw peer writes its hello, a 200 KiB frame and a small one, then
+    // shuts its sending side down. The big frame takes several 64 KiB
+    // reads: each full read goes on, a short one ends the drain, and epoll
+    // brings back the rest, the end of the stream included. Both frames
+    // arrive whole, then the transport closes its end.
+    const Endpoint peer{7, claim_test_port()};
+    Bytes big(200 * 1024, 0xC3);
+    Bytes stream;
+    append_frame(stream, Bytes{0, 0, 0, 7, static_cast<std::uint8_t>(peer.port >> 8),
+                               static_cast<std::uint8_t>(peer.port)});
+    append_frame(stream, big);
+    append_frame(stream, Bytes{9});
+    const int fd = raw_tcp_connect(ep_b.port);
+    ASSERT_GE(fd, 0);
+    for (std::size_t off = 0; off < stream.size();) {
+        const ssize_t n = ::send(fd, stream.data() + off, stream.size() - off, MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        off += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+
+    ASSERT_TRUE(rx_b.wait_for(2, 10000));
+    const auto received = rx_b.snapshot();
+    EXPECT_EQ(received[0].data, big);
+    EXPECT_EQ(received[0].from, peer);
+    EXPECT_EQ(received[1].data, (Bytes{9}));
+
+    const timeval limit{5, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // end of stream, not a timeout
+    ::close(fd);
 }
 
 }  // namespace
